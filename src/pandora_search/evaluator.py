@@ -1,10 +1,11 @@
 """Exact policy evaluation by exhaustive path enumeration, plus the
 closed-form value of non-exposed committing policies.
 
-Path enumeration branches only on the values of boxes the policy actually
-inspects; a box selected closed contributes its mean, integrating out the
-unobserved draw.  This shrinks the tree from s^n leaves to s^(#inspected)
-per path and is exact by independence.
+Path enumeration walks the policy's execution tree (policies.PolicyTree) and
+branches only on the values of boxes the policy actually inspects; a box
+selected closed contributes its mean, integrating out the unobserved draw.
+This shrinks the tree from s^n leaves to s^(#inspected) per path and is exact
+by independence.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .core import Instance, Num, SizeGuardError, max_of_independents, DiscreteDist
-from .policies import (
-    Halt,
-    Inspect,
-    Policy,
-    SearchState,
-    SelectClosed,
-    SelectOpen,
-    Trace,
-    apply_action,
-    check_legal,
-    initial_state,
-)
+from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectOpen, Trace
 from . import reservation
 
 DEFAULT_PATH_LIMIT = 10_000_000
@@ -56,70 +46,60 @@ class EvalResult:
     path_count: int
 
 
+def _nodes(tree: PolicyTree, limit: Optional[int]) -> Iterator[Tuple[Node, Num]]:
+    """Every node of the execution tree with its probability, depth first.
+    Raises PathLimitError at the first terminal node past the guard."""
+    lim = path_limit(limit)
+    paths = 0
+    for node, prob in tree.walk():
+        if node.children is None:
+            paths += 1
+            if paths > lim:
+                raise PathLimitError(f"path enumeration exceeded limit of {lim}")
+        yield node, prob
+
+
 def iter_traces(inst: Instance, pol: Policy, limit: Optional[int] = None) -> Iterator[Trace]:
     """Enumerate every execution path of a deterministic policy with its
     probability and expected utility.  Raises PathLimitError past the guard
     and IllegalActionError on a bad policy action."""
-    lim = path_limit(limit)
-    count = 0
-
-    def walk(state: SearchState, prob: Num, cost: Num):
-        nonlocal count
-        action = pol.decide(state)
-        check_legal(state, action)
-        if isinstance(action, Inspect):
-            for v, p in inst.boxes[action.box].dist.support:
-                yield from walk(
-                    apply_action(state, action, v),
-                    prob * p,
-                    cost + inst.boxes[action.box].cost,
-                )
-            return
-        count += 1
-        if count > lim:
-            raise PathLimitError(f"path enumeration exceeded limit of {lim}")
-        if isinstance(action, SelectOpen):
-            value = dict(state.observed)[action.box]
-        elif isinstance(action, SelectClosed):
-            value = inst.boxes[action.box].dist.expectation()
-        else:
-            value = 0
-        yield Trace(state.observed, action, prob, value - cost)
-
-    yield from walk(initial_state(inst), 1, 0)
+    tree = PolicyTree(inst, pol)
+    for node, prob in _nodes(tree, limit):
+        if node.children is None:
+            yield Trace(node.state.observed, node.action, prob, tree.payoff(node))
 
 
 def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> EvalResult:
+    """Exact expectations, accumulated once per node of the execution tree:
+    P(I_i) gathers the probability of every node that inspects box i, and
+    E[I_i c_i] = c_i P(I_i)."""
     n = inst.n
     prof = reservation.profile(inst)
-    utility = 0
     inspect_probs = [0] * n
     select_probs = [0] * n
     selected_value = [0] * n
-    inspection_cost = [0] * n
     selected_amortized = [0] * n
     paths = 0
-    for tr in iter_traces(inst, pol, limit):
+    for node, prob in _nodes(PolicyTree(inst, pol), limit):
+        action = node.action
+        if isinstance(action, Inspect):
+            inspect_probs[action.box] += prob
+            continue
         paths += 1
-        utility += tr.probability * tr.utility
-        opened = {}
-        for i, v in tr.steps:
-            opened[i] = v
-            inspect_probs[i] += tr.probability
-            inspection_cost[i] += tr.probability * inst.boxes[i].cost
-        if isinstance(tr.final, SelectOpen):
-            i = tr.final.box
-            v = opened[i]
-            select_probs[i] += tr.probability
-            selected_value[i] += tr.probability * v
-            selected_amortized[i] += tr.probability * min(v, prof.sigmas[i])
-        elif isinstance(tr.final, SelectClosed):
-            i = tr.final.box
-            select_probs[i] += tr.probability
-            selected_value[i] += tr.probability * prof.expected_values[i]
-            selected_amortized[i] += tr.probability * prof.expected_values[i]
+        if isinstance(action, Halt):
+            continue
+        i = action.box
+        select_probs[i] += prob
+        if isinstance(action, SelectOpen):
+            v = dict(node.state.observed)[i]
+            selected_value[i] += prob * v
+            selected_amortized[i] += prob * min(v, prof.sigmas[i])
+        else:
+            selected_value[i] += prob * prof.expected_values[i]
+            selected_amortized[i] += prob * prof.expected_values[i]
+    inspection_cost = [box.cost * p for box, p in zip(inst.boxes, inspect_probs)]
     return EvalResult(
-        utility=utility,
+        utility=sum(selected_value) - sum(inspection_cost),
         inspect_probs=tuple(inspect_probs),
         select_probs=tuple(select_probs),
         selected_value=tuple(selected_value),

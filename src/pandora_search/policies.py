@@ -1,4 +1,4 @@
-"""Search policies and the execution-trace model.
+"""Search policies, the execution-trace model and the policy-execution tree.
 
 A policy is a deterministic map from the current information state (which
 boxes are still uninspected, which values have been observed) to an action:
@@ -9,15 +9,18 @@ harness level, never inside a policy object.
 Tie conventions inside Weitzman-style execution: stopping is *weak* (stop and
 select the best opened box as soon as its value is >= every remaining
 reservation value), among equal reservation values the lower index is
-inspected first, and among equal observed values the lower index is selected.
-Weak stopping preserves non-exposure, which only constrains values strictly
-above sigma.
+inspected first, and among equal observed values the box inspected earliest
+is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
+which only constrains values strictly above sigma.
+
+PolicyTree is the one engine that executes policies: exact evaluation walks
+it depth first, and the simulator routes sampled outcomes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
 
 from .core import Instance, Num
 from . import reservation
@@ -64,7 +67,8 @@ class SearchState:
         return dict(self.observed)
 
     def best_open(self) -> Optional[Tuple[int, Num]]:
-        """Lowest-index opened box achieving the maximum observed value."""
+        """Earliest-inspected opened box achieving the maximum observed value:
+        among equal values the first one observed wins, whatever its index."""
         best = None
         for i, v in self.observed:
             if best is None or v > best[1]:
@@ -117,6 +121,92 @@ class Trace:
     def selected(self, n: int) -> Tuple[int, ...]:
         chosen = self.final.box if not isinstance(self.final, Halt) else None
         return tuple(1 if i == chosen else 0 for i in range(n))
+
+
+# --- the execution tree ----------------------------------------------------
+
+class Node:
+    """One information state reached by a policy: the observed sequence of
+    (box, support index) pairs, held as the SearchState it produces, with the
+    policy's (checked) action there and the inspection cost paid to reach it.
+    An inspecting node's children are keyed by the inspected box's support
+    index; a terminal node has children None."""
+
+    __slots__ = ("state", "action", "cost", "children")
+
+    def __init__(self, state: SearchState, action: Action, cost: Num):
+        self.state = state
+        self.action = action
+        self.cost = cost
+        self.children: Optional[Dict[int, Node]] = {} if isinstance(action, Inspect) else None
+
+
+class PolicyTree:
+    """The execution tree of a deterministic policy on an instance, expanded
+    lazily: the policy's decide and the legality monitor run once per node,
+    when the node is first built, and an illegal action raises
+    IllegalActionError there."""
+
+    def __init__(self, inst: Instance, pol: Policy):
+        self.instance = inst
+        self.policy = pol
+        self.root = self._node(initial_state(inst), 0)
+
+    def _node(self, state: SearchState, cost: Num) -> Node:
+        action = self.policy.decide(state)
+        check_legal(state, action)
+        return Node(state, action, cost)
+
+    def _expand(self, node: Node, k: int) -> Node:
+        box = self.instance.boxes[node.action.box]
+        return self._node(apply_action(node.state, node.action, box.dist.support[k][0]),
+                          node.cost + box.cost)
+
+    def child(self, node: Node, k: int) -> Node:
+        """The child of an inspecting node for support index k, built once."""
+        found = node.children.get(k)
+        if found is None:
+            found = node.children[k] = self._expand(node, k)
+        return found
+
+    def walk(self) -> Iterator[Tuple[Node, Num]]:
+        """Every node with its probability, depth first with children in
+        support order.  The walk does not keep the nodes it builds, so it
+        holds one root-to-leaf path at a time."""
+
+        def visit(node: Node, prob: Num):
+            yield node, prob
+            if node.children is not None:
+                support = self.instance.boxes[node.action.box].dist.support
+                for k, (_, p) in enumerate(support):
+                    yield from visit(self._expand(node, k), prob * p)
+
+        return visit(self.root, 1)
+
+    def leaf(self, outcome) -> Tuple[Node, Optional[int]]:
+        """Route a joint outcome (one support index per box) to its terminal
+        node, plus the realized support index of a box selected closed
+        (None for any other terminal action)."""
+        node = self.root
+        while node.children is not None:
+            node = self.child(node, outcome[node.action.box])
+        if isinstance(node.action, SelectClosed):
+            return node, outcome[node.action.box]
+        return node, None
+
+    def payoff(self, node: Node, draw: Optional[int] = None) -> Num:
+        """Utility at a terminal node: the selected box's value minus the
+        inspection costs paid.  A box selected closed is worth the support
+        value at index draw, or its mean when draw is None."""
+        action = node.action
+        if isinstance(action, SelectOpen):
+            value = dict(node.state.observed)[action.box]
+        elif isinstance(action, SelectClosed):
+            dist = self.instance.boxes[action.box].dist
+            value = dist.expectation() if draw is None else dist.support[draw][0]
+        else:
+            value = 0
+        return value - node.cost
 
 
 # --- concrete policies -----------------------------------------------------

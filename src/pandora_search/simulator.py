@@ -1,37 +1,34 @@
 """Seeded Monte Carlo execution of policies.
 
-Values are drawn up front for every box from a counter-based PRNG (Philox)
-keyed by (seed, box index), so the value stream of a box never depends on the
-policy being run or on which boxes it inspects — comparisons between policies
-on the same seed use common random numbers.
+Each box's values come from its own counter-based PRNG stream (Philox keyed
+by (seed, box index)), so the draws of a box never depend on the policy being
+run or on which boxes it inspects: comparisons between policies on the same
+seed use common random numbers.
 
-For instances whose joint support is small, each distinct joint outcome is
-resolved by a single policy execution and trials are mapped onto outcomes
-vectorized; otherwise trials run one by one.  Both paths are bit-identical.
+Trials are drawn CHUNK at a time and folded into distinct joint outcomes
+(one support index per box) with their counts: by np.bincount over
+mixed-radix outcome ids when the joint support has at most
+OUTCOME_TABLE_LIMIT outcomes, by a row-unique of each chunk otherwise.  Each
+distinct outcome is routed once through the policy's execution tree
+(policies.PolicyTree) to its leaf, and the report is reduced from count-weighted
+sums over the leaves.  Memory stays bounded by the chunk and the tree, not by
+the trial count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .core import Instance, Num
-from .policies import (
-    Halt,
-    Inspect,
-    Policy,
-    SearchState,
-    SelectClosed,
-    SelectOpen,
-    apply_action,
-    check_legal,
-)
+from .policies import Halt, Policy, PolicyTree
 
 OUTCOME_TABLE_LIMIT = 1 << 14
+CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,90 +42,95 @@ class SimReport:
 
 
 def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...], Optional[int]]:
-    """Execute a policy against fixed realized values.
+    """Execute a policy against fixed realized values, one from each box's
+    support.
 
     Returns (utility, inspected indicator, selected box or None).  A box
     selected closed contributes its realized (unobserved) draw.
     """
-    state = SearchState(observed=(), uninspected=frozenset(range(inst.n)))
-    cost = 0
-    while True:
-        action = pol.decide(state)
-        check_legal(state, action)
-        if isinstance(action, Inspect):
-            cost += inst.boxes[action.box].cost
-            state = apply_action(state, action, values[action.box])
-            continue
-        inspected = tuple(1 if i in dict(state.observed) else 0 for i in range(inst.n))
-        if isinstance(action, Halt):
-            return -cost, inspected, None
-        return values[action.box] - cost, inspected, action.box
+    outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
+    tree = PolicyTree(inst, pol)
+    node, draw = tree.leaf(outcome)
+    opened = {i for i, _ in node.state.observed}
+    inspected = tuple(1 if i in opened else 0 for i in range(inst.n))
+    chosen = None if isinstance(node.action, Halt) else node.action.box
+    return tree.payoff(node, draw), inspected, chosen
 
 
-def _draw_value_indices(inst: Instance, trials: int, seed: int) -> np.ndarray:
-    """(trials, n) array of support indices, one independent Philox stream
-    per box."""
-    idx = np.empty((trials, inst.n), dtype=np.int64)
-    for i, box in enumerate(inst.boxes):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        u = gen.random(trials)
-        cum = np.cumsum(np.array([float(p) for p in box.dist.probs()]))
-        idx[:, i] = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    return idx
+def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.ndarray]]:
+    """Support indices drawn for each box, CHUNK trials at a time, from one
+    Philox stream per box.  Consecutive draws continue the stream, so the
+    values do not depend on the chunking."""
+    gens = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(inst.n)]
+    # The index of a uniform u is the number of cumulative probabilities at
+    # or below it.  The last one is left out: u at or above it (it may round
+    # below 1) falls on the last support index.
+    cuts = [np.cumsum([float(p) for p in b.dist.probs()])[:-1] for b in inst.boxes]
+    for start in range(0, trials, CHUNK):
+        m = min(CHUNK, trials - start)
+        chunk = []
+        for gen, cut in zip(gens, cuts):
+            u = gen.random(m)
+            # One vectorized compare per support point: for the small supports
+            # boxes have, several times faster than np.searchsorted.
+            index = np.zeros(m, dtype=np.intp)
+            for c in cut:
+                index += u >= c
+            chunk.append(index)
+        yield chunk
+
+
+def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[list, list]]:
+    """Distinct joint outcomes (lists of support indices) with their trial
+    counts, in batches."""
+    sizes = inst.support_sizes()
+    joint = math.prod(sizes)
+    if joint <= OUTCOME_TABLE_LIMIT:
+        counts = np.zeros(joint, dtype=np.int64)
+        for digits in _draw_chunks(inst, trials, seed):
+            ids = digits[0]
+            for d, s in zip(digits[1:], sizes[1:]):
+                ids *= s
+                ids += d
+            counts += np.bincount(ids, minlength=joint)
+        seen = np.flatnonzero(counts)
+        yield np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()
+    else:
+        for digits in _draw_chunks(inst, trials, seed):
+            rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
+            yield rows.tolist(), counts.tolist()
 
 
 def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = inst.n
-    sizes = inst.support_sizes()
-    idx = _draw_value_indices(inst, trials, seed)
+    tree = PolicyTree(inst, pol)
+    leaves: Counter = Counter()  # (terminal node, closed draw or None) -> trials
+    for outcomes, counts in _outcome_counts(inst, trials, seed):
+        for outcome, count in zip(outcomes, counts):
+            leaves[tree.leaf(outcome)] += count
 
-    joint = math.prod(sizes)
-    if joint <= OUTCOME_TABLE_LIMIT:
-        # One policy run per joint outcome, then a vectorized gather.
-        util = np.empty(joint)
-        insp = np.empty((joint, n))
-        sel = np.zeros((joint, n))
-        supports = [b.dist.values() for b in inst.boxes]
-        for oid, combo in enumerate(product(*(range(s) for s in sizes))):
-            values = [supports[i][combo[i]] for i in range(n)]
-            u, inspected, chosen = run_once(inst, pol, values)
-            util[oid] = float(u)
-            insp[oid] = inspected
-            if chosen is not None:
-                sel[oid, chosen] = 1.0
-        strides = np.empty(n, dtype=np.int64)
-        acc = 1
-        for i in range(n - 1, -1, -1):
-            strides[i] = acc
-            acc *= sizes[i]
-        oids = idx @ strides
-        utils = util[oids]
-        inspect_freq = insp[oids].mean(axis=0)
-        select_freq = sel[oids].mean(axis=0)
+    inspect_count = [0] * inst.n
+    select_count = [0] * inst.n
+    weighted = []  # (trials, float utility) per leaf
+    for (node, draw), count in leaves.items():
+        for i, _ in node.state.observed:
+            inspect_count[i] += count
+        if not isinstance(node.action, Halt):
+            select_count[node.action.box] += count
+        weighted.append((count, float(tree.payoff(node, draw))))
+    # fsum is exactly rounded, so the figures do not depend on leaf order.
+    mean = math.fsum(c * u for c, u in weighted) / trials
+    if trials > 1:
+        var = math.fsum(c * (u - mean) ** 2 for c, u in weighted) / (trials - 1)
+        std_error = math.sqrt(var) / math.sqrt(trials)
     else:
-        supports = [b.dist.values() for b in inst.boxes]
-        utils = np.empty(trials)
-        insp_count = np.zeros(n)
-        sel_count = np.zeros(n)
-        for t in range(trials):
-            values = [supports[i][idx[t, i]] for i in range(n)]
-            u, inspected, chosen = run_once(inst, pol, values)
-            utils[t] = float(u)
-            insp_count += inspected
-            if chosen is not None:
-                sel_count[chosen] += 1
-        inspect_freq = insp_count / trials
-        select_freq = sel_count / trials
-
-    mean = float(utils.mean())
-    std_error = float(utils.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        std_error = 0.0
     return SimReport(
         trials=trials,
         seed=seed,
         mean_utility=mean,
         std_error=std_error,
-        inspect_freq=tuple(float(f) for f in inspect_freq),
-        select_freq=tuple(float(f) for f in select_freq),
+        inspect_freq=tuple(c / trials for c in inspect_count),
+        select_freq=tuple(c / trials for c in select_count),
     )

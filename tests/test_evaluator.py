@@ -12,12 +12,18 @@ from pandora_search import (
     Inspect,
     Instance,
     PathLimitError,
+    SearchState,
+    SelectClosed,
     SelectOpen,
     WeitzmanPolicy,
+    dp_policy,
     evaluate_exact,
     evaluate_nonexposed_closed_form,
     iter_traces,
+    profile,
     random_instance,
+    simulate,
+    solve_dp,
     tight_example,
 )
 from conftest import random_batch
@@ -120,3 +126,89 @@ class TestTraces:
             evaluate_exact(inst, WeitzmanPolicy(inst)).utility
             == evaluate_exact(permuted, WeitzmanPolicy(permuted)).utility
         )
+
+
+def evaluate_per_path(inst, pol):
+    """evaluate_exact as a sum over iter_traces, path by path and step by
+    step: the reference for the per-node accumulation."""
+    n = inst.n
+    prof = profile(inst)
+    utility, paths = 0, 0
+    inspect_probs, select_probs = [0] * n, [0] * n
+    selected_value, inspection_cost, selected_amortized = [0] * n, [0] * n, [0] * n
+    for tr in iter_traces(inst, pol):
+        paths += 1
+        utility += tr.probability * tr.utility
+        opened = dict(tr.steps)
+        for i in opened:
+            inspect_probs[i] += tr.probability
+            inspection_cost[i] += tr.probability * inst.boxes[i].cost
+        if isinstance(tr.final, Halt):
+            continue
+        i = tr.final.box
+        select_probs[i] += tr.probability
+        if isinstance(tr.final, SelectOpen):
+            selected_value[i] += tr.probability * opened[i]
+            selected_amortized[i] += tr.probability * min(opened[i], prof.sigmas[i])
+        else:
+            selected_value[i] += tr.probability * prof.expected_values[i]
+            selected_amortized[i] += tr.probability * prof.expected_values[i]
+    return (utility, tuple(inspect_probs), tuple(select_probs), tuple(selected_value),
+            tuple(inspection_cost), tuple(selected_amortized), paths)
+
+
+def scripted_policy(inst):
+    """Inspects from the highest index down, stops on a value >= 5, takes the
+    last box closed if nothing was opened, and halts on a best value below 2."""
+    def decide(state):
+        best = state.best_open()
+        if best is not None and best[1] >= 5:
+            return SelectOpen(best[0])
+        remaining = sorted(state.uninspected)
+        if not remaining:
+            return SelectOpen(best[0]) if best[1] >= 2 else Halt()
+        if best is None and len(remaining) == 1:
+            return SelectClosed(remaining[0])
+        return Inspect(remaining[-1])
+    return CallbackPolicy(decide)
+
+
+class TestPerNodeAccumulation:
+    def test_matches_per_path_sum(self):
+        for inst in random_batch(12, 4, 3, seed0=300):
+            pols = [WeitzmanPolicy(inst), dp_policy(solve_dp(inst)), scripted_policy(inst)]
+            pols += [CommittingPolicy(inst, {i}) for i in range(inst.n)]
+            for pol in pols:
+                res = evaluate_exact(inst, pol)
+                got = (res.utility, res.inspect_probs, res.select_probs, res.selected_value,
+                       res.inspection_cost, res.selected_amortized, res.path_count)
+                assert got == evaluate_per_path(inst, pol), (inst, pol)
+
+    def test_path_limit_at_the_path_count(self):
+        for inst in random_batch(6, 4, 3, seed0=320):
+            pol = WeitzmanPolicy(inst)
+            paths = evaluate_exact(inst, pol).path_count
+            assert evaluate_exact(inst, pol, limit=paths).path_count == paths
+            with pytest.raises(PathLimitError):
+                evaluate_exact(inst, pol, limit=paths - 1)
+
+
+class TestTieRule:
+    def test_best_open_prefers_earliest_inspected(self):
+        state = SearchState(observed=((3, 5), (1, 5)), uninspected=frozenset({0, 2}))
+        assert state.best_open() == (3, 5)
+
+    def test_engine_selects_earliest_inspected_on_ties(self):
+        # two boxes that always hold 5, inspected in the order 1, 0
+        inst = Instance([Box(d((5, 1)), 0), Box(d((5, 1)), 0)])
+
+        def decide(state):
+            if 1 in state.uninspected:
+                return Inspect(1)
+            if 0 in state.uninspected:
+                return Inspect(0)
+            return SelectOpen(state.best_open()[0])
+
+        pol = CallbackPolicy(decide)
+        assert evaluate_exact(inst, pol).select_probs == (0, 1)
+        assert simulate(inst, pol, trials=10, seed=0).select_freq == (0.0, 1.0)

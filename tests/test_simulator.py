@@ -1,5 +1,9 @@
+import functools
+import math
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pandora_search import (
@@ -12,7 +16,12 @@ from pandora_search import (
     simulate,
     tight_example,
 )
+import pandora_search.simulator as sim
 from pandora_search.simulator import run_once
+
+# Chunked folding sums utilities in another order than the per-trial
+# reference, so the mean and the standard error may differ in the last bits.
+REL_TOL = 1e-12
 
 
 class TestRunOnce:
@@ -79,7 +88,6 @@ class TestSimulate:
         inst = random_instance(3, 3, 9, seed=70)
         pol = WeitzmanPolicy(inst)
         fast = simulate(inst, pol, trials=3000, seed=4)
-        import pandora_search.simulator as sim
         monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", 0)
         slow = simulate(inst, pol, trials=3000, seed=4)
         assert fast == slow
@@ -87,3 +95,72 @@ class TestSimulate:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate(tight_example(10), WeitzmanPolicy(tight_example(10)), trials=0, seed=0)
+
+
+REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman"]
+REFERENCE_TRIALS = 2 * sim.CHUNK + 17  # crosses two chunk boundaries
+REFERENCE_SEED = 5
+
+
+def reference_case(case):
+    if case == "tight-reserve-long-shot":
+        inst = tight_example(10)
+        return inst, CommittingPolicy(inst, {1})
+    inst = random_instance(3, 3, 9, seed=70)
+    return inst, WeitzmanPolicy(inst)
+
+
+@functools.lru_cache(maxsize=None)
+def per_trial_reference(case):
+    """The simulator as a per-trial loop: each box's whole stream drawn from
+    Philox(key=[seed, i]) at once, then run_once on every trial."""
+    inst, pol = reference_case(case)
+    trials, seed = REFERENCE_TRIALS, REFERENCE_SEED
+    idx = np.empty((trials, inst.n), dtype=np.int64)
+    for i, box in enumerate(inst.boxes):
+        u = np.random.Generator(np.random.Philox(key=[seed, i])).random(trials)
+        cum = np.cumsum([float(p) for p in box.dist.probs()])
+        idx[:, i] = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    supports = [b.dist.values() for b in inst.boxes]
+    utils = np.empty(trials)
+    inspected = np.zeros(inst.n, dtype=np.int64)
+    selected = np.zeros(inst.n, dtype=np.int64)
+    for t in range(trials):
+        u, insp, chosen = run_once(inst, pol, [supports[i][k] for i, k in enumerate(idx[t])])
+        utils[t] = float(u)
+        inspected += insp
+        if chosen is not None:
+            selected[chosen] += 1
+    return (
+        float(utils.mean()),
+        float(utils.std(ddof=1) / math.sqrt(trials)),
+        tuple(float(c) / trials for c in inspected),
+        tuple(float(c) / trials for c in selected),
+    )
+
+
+class TestAgainstPerTrialReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    @pytest.mark.parametrize("table_limit", [sim.OUTCOME_TABLE_LIMIT, 0], ids=["bincount", "row-unique"])
+    def test_matches_per_trial_loop(self, case, table_limit, monkeypatch):
+        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", table_limit)
+        inst, pol = reference_case(case)
+        rep = simulate(inst, pol, trials=REFERENCE_TRIALS, seed=REFERENCE_SEED)
+        mean, std_error, inspect_freq, select_freq = per_trial_reference(case)
+        assert rep.trials == REFERENCE_TRIALS
+        assert rep.inspect_freq == inspect_freq
+        assert rep.select_freq == select_freq
+        assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
+        assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
+
+
+def test_memory_does_not_grow_with_trials():
+    inst = tight_example(10)
+    pol = WeitzmanPolicy(inst)
+    tracemalloc.start()
+    try:
+        simulate(inst, pol, trials=2_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
