@@ -14,14 +14,24 @@ Variants:
 Deterministic tie-breaking: stopping (halt or select best open) beats a
 closed selection beats an inspection; within a class the lowest box index
 wins.
+
+The recursion runs on integers.  Let d_i be the common denominator of box
+i's probabilities and L the lcm of the denominators of every support value,
+cost and mean.  The value of a state with uninspected set U is an integer
+once multiplied by L * prod_{i in U} d_i, so inspecting i scores
+-c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), every candidate compare
+is an integer compare, and each state's value becomes a Fraction once, when
+its table entry is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm, prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError
+from .core import Instance, Num, SizeGuardError, require_rational
 from .policies import DecisionTablePolicy
 
 NONOBLIGATORY = "nonobligatory"
@@ -32,8 +42,6 @@ DEFAULT_MAX_BOXES = 20
 # Abstract action: ("halt"|"select_open"|"select_closed"|"inspect", box or None)
 AbstractAction = Tuple[str, Optional[int]]
 DPState = Tuple[FrozenSet[int], Optional[Num]]
-
-_RANK = {"halt": 0, "select_open": 0, "select_closed": 1, "inspect": 2}
 
 
 @dataclass(frozen=True)
@@ -49,41 +57,67 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
         raise ValueError(f"unknown variant {variant!r}")
     if inst.n > max_boxes:
         raise SizeGuardError(f"instance has {inst.n} boxes, guard is {max_boxes}")
+    require_rational(inst)
 
     boxes = inst.boxes
-    table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
+    nonobligatory = variant == NONOBLIGATORY
+    values = {v for box in boxes for v in box.dist.values()}
+    means = [box.dist.expectation() for box in boxes]
+    costs = [box.cost for box in boxes]
+    scale = lcm(*(x.denominator for x in [*values, *means, *costs]))
 
-    def value(uninspected: FrozenSet[int], best: Optional[Num]) -> Num:
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    value_scaled = {v: scaled(v) for v in values}
+    mean_scaled = [scaled(m) for m in means]
+    cost_scaled = [scaled(c) for c in costs]
+    dens = []
+    branches = []  # per box: (value, p * d_i)
+    for box in boxes:
+        d = lcm(*(p.denominator for _, p in box.dist.support))
+        dens.append(d)
+        branches.append(tuple((v, p.numerator * (d // p.denominator)) for v, p in box.dist.support))
+
+    table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
+    memo: Dict[DPState, int] = {}
+
+    def value(uninspected: FrozenSet[int], best: Optional[Num], weight: int) -> int:
+        """Value of the state times scale * weight, where weight is the
+        product of d_i over the uninspected boxes."""
         key = (uninspected, best)
-        hit = table.get(key)
+        hit = memo.get(key)
         if hit is not None:
-            return hit[1]
-        candidates = []  # (value, rank, index, action)
+            return hit
+        members = sorted(uninspected)
+        top: Optional[int] = None
+        action: Optional[AbstractAction] = None
         if best is not None:
-            candidates.append((best, 0, -1, ("select_open", None)))
-        elif variant == NONOBLIGATORY:
-            candidates.append((0, 0, -1, ("halt", None)))
-        if variant == NONOBLIGATORY:
-            for j in sorted(uninspected):
-                ev = boxes[j].dist.expectation()
-                candidates.append((ev, 1, j, ("select_closed", j)))
-        for i in sorted(uninspected):
+            top, action = value_scaled[best] * weight, ("select_open", None)
+        elif nonobligatory:
+            top, action = 0, ("halt", None)
+        if nonobligatory:
+            for j in members:
+                closed = mean_scaled[j] * weight
+                if closed > top:
+                    top, action = closed, ("select_closed", j)
+        for i in members:
             rest = uninspected - {i}
-            cont = -boxes[i].cost
-            for v, p in boxes[i].dist.support:
-                nb = v if best is None or v > best else best
-                cont += p * value(rest, nb)
-            candidates.append((cont, 2, i, ("inspect", i)))
-        if not candidates:
+            sub = weight // dens[i]
+            cont = -cost_scaled[i] * weight
+            for v, w in branches[i]:
+                cont += w * value(rest, v if best is None or v > best else best, sub)
+            if top is None or cont > top:
+                top, action = cont, ("inspect", i)
+        if action is None:
             raise AssertionError("no legal action: empty state with nothing observed")
-        best_val = max(c[0] for c in candidates)
-        chosen = min(c for c in candidates if c[0] == best_val)
-        table[key] = (chosen[3], best_val)
-        return best_val
+        memo[key] = top
+        table[key] = (action, Fraction(top, scale * weight))
+        return top
 
     root = (frozenset(range(inst.n)), None)
-    v = value(*root)
-    return DPSolution(value=v, table=table, variant=variant, instance=inst)
+    value(*root, prod(dens))
+    return DPSolution(value=table[root][1], table=table, variant=variant, instance=inst)
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:

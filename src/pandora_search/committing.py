@@ -2,17 +2,22 @@
 
 The optimal committing policy always lies in the (n+1)-element candidate set
 {empty reservation set, each singleton}; every candidate is scored by the
-closed form E[max_i kappa~_i] rather than path enumeration, so the search is
-poly(n, s).
+closed form E[max_i kappa~_i] rather than path enumeration.  All n+1
+candidates share the kappa laws except one box, so one merged-grid sweep with
+prefix and suffix products of the CDFs scores them all in O(n G) integer
+operations, G being the size of the merged kappa grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from fractions import Fraction
+from math import lcm, prod
+from typing import FrozenSet, List, Tuple
 
-from .core import Box, DiscreteDist, Instance, Num
-from .evaluator import evaluate_nonexposed_closed_form
+from . import reservation
+from .core import Box, DiscreteDist, Instance, Num, require_rational, scaled_cdfs
 from .policies import CommittingPolicy
 
 
@@ -42,20 +47,59 @@ def committing_policy(inst: Instance, reservation_set) -> CommittingPolicy:
 
 
 def best_committing(inst: Instance) -> CommittingSolution:
-    """Evaluate the empty set and all singletons; ties break toward the empty
-    set, then the lowest index."""
-    candidates = [frozenset()] + [frozenset({i}) for i in range(inst.n)]
-    values = tuple((s, evaluate_nonexposed_closed_form(inst, s)) for s in candidates)
+    """Score the empty set and all singletons in one pass; ties break toward
+    the empty set, then the lowest index.
+
+    On the merged grid of the kappa supports, with F_j the CDF of kappa_j and
+    e_i = E[v_i]: the empty set scores E[max_j kappa_j], and {i} scores
+    E[max(e_i, Y_i)] = e_i + sum_t P(Y_i = t) (t - e_i)^+, where
+    Y_i = max_{j != i} kappa_j has the CDF (prod_{j<i} F_j)(prod_{j>i} F_j),
+    a running prefix product times a stored suffix product.  The sums run in
+    integers: each F_j scaled by its probability denominator d_j (see
+    core.scaled_cdfs), and grid values and e_i by the lcm of their
+    denominators.  O(n G) products for a grid of G points.
+    """
+    require_rational(inst)
+    prof = reservation.profile(inst)
+    evs = prof.expected_values
+    grid = sorted({v for d in prof.kappa_dists for v in d.values()})
+    cdfs = scaled_cdfs(prof.kappa_dists, grid)
+    scale = lcm(*(x.denominator for x in grid + list(evs)))
+    points = [t.numerator * (scale // t.denominator) for t in grid]
+
+    def expected_max(floor: int, cdf: List[int], den: int) -> Fraction:
+        """E[max(floor, Y)] / scale for Y with CDF cdf / den on the grid;
+        floor is scaled and at least the grid minimum."""
+        k = bisect_right(points, floor)
+        excess = 0
+        prev = cdf[k - 1]
+        for t, c in zip(points[k:], cdf[k:]):
+            excess += (c - prev) * (t - floor)
+            prev = c
+        return Fraction(floor * den + excess, scale * den)
+
+    # suffix[i] = prod_{j >= i} F_j, scaled by prod_{j >= i} d_j
+    suffix = [[1] * len(grid)]
+    for _, row in reversed(cdfs):
+        suffix.append([a * b for a, b in zip(row, suffix[-1])])
+    suffix.reverse()
+    total_den = prod(d for d, _ in cdfs)
+    values = [(frozenset(), expected_max(points[0], suffix[0], total_den))]
+    prefix = [1] * len(grid)
+    for i, (d, row) in enumerate(cdfs):
+        others = [a * b for a, b in zip(prefix, suffix[i + 1])]
+        e = evs[i].numerator * (scale // evs[i].denominator)
+        values.append((frozenset({i}), expected_max(e, others, total_den // d)))
+        prefix = [a * b for a, b in zip(prefix, row)]
+
     best_set, best_value = values[0]
     for s, v in values[1:]:
         if v > best_value:
             best_set, best_value = s, v
-    baseline_a = values[0][1]
-    baseline_b = max(box.dist.expectation() for box in inst.boxes)
     return CommittingSolution(
         best_set=best_set,
         best_value=best_value,
-        candidate_values=values,
-        baseline_policy_a=baseline_a,
-        baseline_policy_b=baseline_b,
+        candidate_values=tuple(values),
+        baseline_policy_a=values[0][1],
+        baseline_policy_b=max(evs),
     )

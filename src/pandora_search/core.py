@@ -3,14 +3,18 @@
 All analysis code works on `fractions.Fraction` values so that every identity
 in the library is an equality, not a tolerance check.  Floats are accepted as
 a fallback backend (probabilities then only need to sum to 1 within 1e-12);
-the Monte Carlo simulator is the only module that relies on it.
+the Monte Carlo simulator is the only module that relies on it.  The
+integer-scaled kernels (`max_of_independents`, `adaptive.solve_dp`,
+`committing.best_committing`) need exact rationals and raise TypeError on
+float data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from math import lcm, prod
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Num = Union[int, Fraction, float]
 
@@ -125,25 +129,65 @@ class DiscreteDist:
         return f"DiscreteDist({{{inner}}})"
 
 
+def scaled_cdfs(dists: Sequence[DiscreteDist], grid: Sequence[Num]) -> List[Tuple[int, List[int]]]:
+    """Each distribution's CDF on an ascending grid, in integers.
+
+    For every distribution, one sorted sweep over its support and the grid
+    gives its probability denominator d (the lcm of its probabilities'
+    denominators) and the integers d * P(X <= t) for each grid point t.
+    Probabilities must be exact rationals.
+    """
+    out = []
+    for k, dist in enumerate(dists):
+        support = dist.support
+        if not all(isinstance(p, Fraction) for _, p in support):
+            raise TypeError(f"distribution {k} has non-rational probabilities")
+        den = lcm(*(p.denominator for _, p in support))
+        row = []
+        acc = 0
+        j = 0
+        for t in grid:
+            while j < len(support) and support[j][0] <= t:
+                p = support[j][1]
+                acc += p.numerator * (den // p.denominator)
+                j += 1
+            row.append(acc)
+        out.append((den, row))
+    return out
+
+
 def max_of_independents(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     """Distribution of the max of independent draws, one per input distribution.
 
-    Computed as P(max <= t) = prod_i P(X_i <= t) on the merged support grid;
-    works for arbitrary (including negative) support values.
+    Computed as P(max <= t) = prod_i P(X_i <= t) on the merged support grid,
+    in integers scaled by the product of the probability denominators (see
+    scaled_cdfs); works for arbitrary (including negative) support values.
     """
     if not dists:
         raise ValueError("need at least one distribution")
     grid = sorted({v for d in dists for v in d.values()})
+    cdfs = scaled_cdfs(dists, grid)
+    den = prod(d for d, _ in cdfs)
+    joint = [1] * len(grid)
+    for _, row in cdfs:
+        joint = [a * b for a, b in zip(joint, row)]
     pairs = []
     prev = 0
-    for t in grid:
-        cdf = 1
-        for d in dists:
-            cdf *= d.cdf_at(t)
+    for t, cdf in zip(grid, joint):
         if cdf > prev:
-            pairs.append((t, cdf - prev))
+            pairs.append((t, Fraction(cdf - prev, den)))
             prev = cdf
     return DiscreteDist(pairs)
+
+
+def require_rational(inst: "Instance") -> None:
+    """Raise TypeError naming the first box whose values, probabilities or
+    cost are not exact rationals; the integer-scaled kernels need them."""
+    for i, box in enumerate(inst.boxes):
+        data = [box.cost] + [x for pair in box.dist.support for x in pair]
+        if not all(isinstance(x, Fraction) for x in data):
+            raise TypeError(f"box {i} has float data; exact kernels need rational values, "
+                            "probabilities and cost")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from pandora_search import (
     Box,
     DiscreteDist,
     Instance,
+    NONOBLIGATORY,
     REQUIRED,
     SizeGuardError,
     dp_policy,
@@ -21,6 +22,51 @@ from conftest import random_batch, tree_opt
 
 def d(*pairs):
     return DiscreteDist(pairs)
+
+
+def reference_dp(inst, variant=NONOBLIGATORY):
+    """The Fraction recursion solve_dp replaced, kept as its oracle: same
+    states, actions, tie rule (stop < closed < inspect, then lowest index)
+    and table insertion order, with every candidate an exact Fraction."""
+    boxes = inst.boxes
+    table = {}
+
+    def value(uninspected, best):
+        key = (uninspected, best)
+        hit = table.get(key)
+        if hit is not None:
+            return hit[1]
+        candidates = []  # (value, rank, index, action)
+        if best is not None:
+            candidates.append((best, 0, -1, ("select_open", None)))
+        elif variant == NONOBLIGATORY:
+            candidates.append((0, 0, -1, ("halt", None)))
+        if variant == NONOBLIGATORY:
+            for j in sorted(uninspected):
+                candidates.append((boxes[j].dist.expectation(), 1, j, ("select_closed", j)))
+        for i in sorted(uninspected):
+            rest = uninspected - {i}
+            cont = -boxes[i].cost
+            for v, p in boxes[i].dist.support:
+                nb = v if best is None or v > best else best
+                cont += p * value(rest, nb)
+            candidates.append((cont, 2, i, ("inspect", i)))
+        best_val = max(c[0] for c in candidates)
+        chosen = min(c for c in candidates if c[0] == best_val)
+        table[key] = (chosen[3], best_val)
+        return best_val
+
+    root = value(frozenset(range(inst.n)), None)
+    return root, table
+
+
+def oracle_instances():
+    for n in range(1, 7):
+        for s in range(1, 5):
+            yield random_instance(n, s, 10, seed=10 * n + s)
+            yield random_instance(n, s, 10, seed=10 * n + s, cost_scale_max=F(2))
+    for k in (2, 10, 1000):
+        yield tight_example(k)
 
 
 class TestSolveDP:
@@ -52,6 +98,11 @@ class TestSolveDP:
         with pytest.raises(ValueError):
             solve_dp(tight_example(2), variant="sometimes")
 
+    def test_rejects_float_data_naming_the_box(self):
+        inst = Instance([Box(d((1, 1)), 0), Box(DiscreteDist([(0.0, 0.5), (2.0, 0.5)]), 0.25)])
+        with pytest.raises(TypeError, match="box 1"):
+            solve_dp(inst)
+
     def test_size_guard(self):
         inst = Instance([Box(d((1, 1)), 0)] * 3)
         with pytest.raises(SizeGuardError):
@@ -67,6 +118,20 @@ class TestAgainstTreeOracle:
         for inst in random_batch(20, 2, 3, seed0=700):
             got = solve_dp(inst, variant=REQUIRED).value
             assert got == tree_opt(inst, allow_closed=False), inst
+
+
+class TestAgainstFractionRecursion:
+    @pytest.mark.parametrize("variant", [NONOBLIGATORY, REQUIRED])
+    def test_tables_and_values_equal_the_reference(self, variant):
+        negative_sigma = 0
+        for inst in oracle_instances():
+            root, table = reference_dp(inst, variant)
+            sol = solve_dp(inst, variant=variant)
+            assert sol.value == root, inst
+            assert sol.table == table, inst
+            assert list(sol.table) == list(table), inst
+            negative_sigma += any(s < 0 for s in profile(inst).sigmas)
+        assert negative_sigma > 0
 
 
 class TestStructure:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from pandora_search import (
     Box,
     CommittingPolicy,
@@ -10,6 +12,7 @@ from pandora_search import (
     evaluate_exact,
     evaluate_nonexposed_closed_form,
     modified_instance,
+    profile,
     random_instance,
     solve_dp,
     tight_example,
@@ -90,6 +93,46 @@ class TestBestCommitting:
         perm = [1, 2, 0]
         permuted = Instance([inst.boxes[p] for p in perm])
         assert best_committing(inst).best_value == best_committing(permuted).best_value
+
+
+class TestAgainstClosedForm:
+    """Each one-pass candidate score equals the closed form built from
+    max_of_independents for that reservation set."""
+
+    def instances(self):
+        for n in range(1, 7):
+            for s in range(1, 5):
+                yield random_instance(n, s, 10, seed=20 * n + s)
+                yield random_instance(n, s, 10, seed=20 * n + s, cost_scale_max=F(2))
+        yield tight_example(10)
+
+    def test_every_candidate_equals_closed_form(self):
+        negative_sigma = 0
+        for inst in self.instances():
+            sol = best_committing(inst)
+            assert [s for s, _ in sol.candidate_values] == (
+                [frozenset()] + [frozenset({i}) for i in range(inst.n)])
+            for s, v in sol.candidate_values:
+                assert v == evaluate_nonexposed_closed_form(inst, s), (inst, s)
+            negative_sigma += any(s < 0 for s in profile(inst).sigmas)
+        assert negative_sigma > 0
+
+    def test_single_box(self):
+        inst = Instance([Box(d((0, F(1, 3)), (6, F(2, 3))), 1)])
+        sol = best_committing(inst)
+        assert dict(sol.candidate_values) == {
+            frozenset(): evaluate_nonexposed_closed_form(inst, frozenset()),
+            frozenset({0}): 4,
+        }
+
+    def test_two_hundred_boxes(self):
+        sol = best_committing(random_instance(200, 4, 10, seed=7))
+        assert len(sol.candidate_values) == 201
+
+    def test_rejects_float_data_naming_the_box(self):
+        inst = Instance([Box(d((1, 1)), 0), Box(DiscreteDist([(0.0, 0.5), (2.0, 0.5)]), 0.25)])
+        with pytest.raises(TypeError, match="box 1"):
+            best_committing(inst)
 
 
 class TestPairwiseDominance:

@@ -80,6 +80,11 @@ class TestMaxOfIndependents:
         assert max_of_independents([COIN, d((-1, 1)), (d((-1, 1)))]) == COIN
 
 
+def test_max_of_independents_rejects_float_probabilities():
+    with pytest.raises(TypeError, match="distribution 1"):
+        max_of_independents([COIN, DiscreteDist([(0.0, 0.5), (1.0, 0.5)])])
+
+
 def brute_max(dists):
     """Oracle: direct enumeration of the joint distribution."""
     acc = {}
