@@ -32,7 +32,7 @@ from .evaluator import (
     evaluate_nonexposed_closed_form,
     iter_traces,
 )
-from .committing import CommittingSolution, best_committing, committing_policy, modified_instance
+from .committing import CommittingSolution, best_committing, modified_instance
 from .adaptive import NONOBLIGATORY, REQUIRED, DPSolution, dp_policy, solve_dp
 from .twobox import (
     ALWAYS_CLOSED,
@@ -86,7 +86,6 @@ __all__ = [
     "iter_traces",
     "CommittingSolution",
     "best_committing",
-    "committing_policy",
     "modified_instance",
     "NONOBLIGATORY",
     "REQUIRED",

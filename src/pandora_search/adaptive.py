@@ -15,13 +15,19 @@ Deterministic tie-breaking: stopping (halt or select best open) beats a
 closed selection beats an inspection; within a class the lowest box index
 wins.
 
-The recursion runs on integers.  Let d_i be the common denominator of box
-i's probabilities and L the lcm of the denominators of every support value,
-cost and mean.  The value of a state with uninspected set U is an integer
-once multiplied by L * prod_{i in U} d_i, so inspecting i scores
--c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), every candidate compare
-is an integer compare, and each state's value becomes a Fraction once, when
-its table entry is stored.
+The recursion runs on integers.  A state is one int id: the uninspected
+set U as a bitmask and the index of the best observed value in the sorted
+grid of all support values (-1 while nothing is observed), so equal values of
+different boxes share an index and the running best is a max of indices.
+Let d_i be the common denominator of box i's probabilities and L the lcm of
+the denominators of every support value, cost and mean.  The value of a
+state is an integer once multiplied by L * prod_{i in U} d_i, so inspecting
+i scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every
+candidate compare is an integer compare.  The memo is checked where the
+inspect loop reads a successor, so a state already solved costs no call.
+The public table keeps the (frozenset, value) keys: each mask's frozenset is
+built once, and each state's value becomes a Fraction once, when its table
+entry is stored.
 """
 
 from __future__ import annotations
@@ -60,40 +66,44 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
     require_rational(inst)
 
     boxes = inst.boxes
+    n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    values = {v for box in boxes for v in box.dist.values()}
+    grid = sorted({v for box in boxes for v in box.dist.values()})
+    index = {v: k for k, v in enumerate(grid)}
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]
-    scale = lcm(*(x.denominator for x in [*values, *means, *costs]))
+    scale = lcm(*(x.denominator for x in [*grid, *means, *costs]))
 
     def scaled(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
 
-    value_scaled = {v: scaled(v) for v in values}
+    grid_scaled = [scaled(v) for v in grid]
     mean_scaled = [scaled(m) for m in means]
     cost_scaled = [scaled(c) for c in costs]
     dens = []
-    branches = []  # per box: (value, p * d_i)
+    branches = []  # per box: (grid index, p * d_i)
     for box in boxes:
         d = lcm(*(p.denominator for _, p in box.dist.support))
         dens.append(d)
-        branches.append(tuple((v, p.numerator * (d // p.denominator)) for v, p in box.dist.support))
+        branches.append(tuple((index[v], p.numerator * (d // p.denominator)) for v, p in box.dist.support))
 
+    width = len(grid) + 1  # state id: mask * width + best + 1
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
-    memo: Dict[DPState, int] = {}
+    memo: Dict[int, int] = {}
+    sets: Dict[int, Tuple[FrozenSet[int], Tuple[int, ...]]] = {}  # mask -> (set, members)
 
-    def value(uninspected: FrozenSet[int], best: Optional[Num], weight: int) -> int:
-        """Value of the state times scale * weight, where weight is the
-        product of d_i over the uninspected boxes."""
-        key = (uninspected, best)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        members = sorted(uninspected)
+    def value(mask: int, best: int, weight: int) -> int:
+        """Value of the state not yet in memo, times scale * weight, where
+        weight is the product of d_i over the uninspected boxes."""
+        entry = sets.get(mask)
+        if entry is None:
+            members = tuple(i for i in range(n) if mask >> i & 1)
+            entry = sets[mask] = (frozenset(members), members)
+        uninspected, members = entry
         top: Optional[int] = None
         action: Optional[AbstractAction] = None
-        if best is not None:
-            top, action = value_scaled[best] * weight, ("select_open", None)
+        if best >= 0:
+            top, action = grid_scaled[best] * weight, ("select_open", None)
         elif nonobligatory:
             top, action = 0, ("halt", None)
         if nonobligatory:
@@ -102,22 +112,25 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
                 if closed > top:
                     top, action = closed, ("select_closed", j)
         for i in members:
-            rest = uninspected - {i}
-            sub = weight // dens[i]
+            rest = mask ^ (1 << i)
+            base = rest * width + 1
             cont = -cost_scaled[i] * weight
             for v, w in branches[i]:
-                cont += w * value(rest, v if best is None or v > best else best, sub)
+                nb = v if v > best else best
+                sub = memo.get(base + nb)
+                if sub is None:
+                    sub = value(rest, nb, weight // dens[i])
+                cont += w * sub
             if top is None or cont > top:
                 top, action = cont, ("inspect", i)
         if action is None:
             raise AssertionError("no legal action: empty state with nothing observed")
-        memo[key] = top
-        table[key] = (action, Fraction(top, scale * weight))
+        memo[mask * width + best + 1] = top
+        table[(uninspected, grid[best] if best >= 0 else None)] = (action, Fraction(top, scale * weight))
         return top
 
-    root = (frozenset(range(inst.n)), None)
-    value(*root, prod(dens))
-    return DPSolution(value=table[root][1], table=table, variant=variant, instance=inst)
+    value((1 << n) - 1, -1, prod(dens))
+    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, variant=variant, instance=inst)
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:

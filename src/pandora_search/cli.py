@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
         value = sol.value
         table_doc = []
         for (uninsp, best), (act, val) in sorted(
-            sol.table.items(), key=lambda kv: (sorted(kv[0][0]), str(kv[0][1]))
+            sol.table.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1] is not None, kv[0][1])
         ):
             table_doc.append(
                 {

@@ -18,7 +18,6 @@ from typing import FrozenSet, List, Tuple
 
 from . import reservation
 from .core import Box, DiscreteDist, Instance, Num, require_rational, scaled_cdfs
-from .policies import CommittingPolicy
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ def modified_instance(inst: Instance, reservation_set) -> Instance:
         else:
             boxes.append(box)
     return Instance(boxes)
-
-
-def committing_policy(inst: Instance, reservation_set) -> CommittingPolicy:
-    return CommittingPolicy(inst, reservation_set)
 
 
 def best_committing(inst: Instance) -> CommittingSolution:

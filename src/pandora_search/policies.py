@@ -20,7 +20,7 @@ it depth first, and the simulator routes sampled outcomes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
 from .core import Instance, Num
 from . import reservation
@@ -62,9 +62,6 @@ class SearchState:
 
     observed: Tuple[Tuple[int, Num], ...]  # (box, value) in inspection order
     uninspected: FrozenSet[int]
-
-    def observed_map(self) -> Mapping[int, Num]:
-        return dict(self.observed)
 
     def best_open(self) -> Optional[Tuple[int, Num]]:
         """Earliest-inspected opened box achieving the maximum observed value:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,39 @@ def reference_dp(inst, variant=NONOBLIGATORY):
 
     root = value(frozenset(range(inst.n)), None)
     return root, table
+
+
+def wide_instance(n, seed, supports=(5, 6), cost_scale=F(1, 4), value_max=10):
+    """n boxes whose supports have a number of points drawn from supports."""
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(n):
+        values = rng.sample(range(value_max + 1), rng.choice(supports))
+        weights = [rng.randint(1, 6) for _ in values]
+        dist = DiscreteDist((v, F(w, sum(weights))) for v, w in zip(values, weights))
+        boxes.append(Box(dist, dist.expectation() * cost_scale * F(rng.randint(0, 8), 8)))
+    return Instance(boxes)
+
+
+def tie_instance():
+    """Observed values equal to box means: at ({3}, best=2) stopping, taking
+    box 3 closed and inspecting it are all worth 2, and boxes 0, 2 and 3
+    share the mean 2."""
+    return Instance([
+        Box(d((1, F(1, 2)), (3, F(1, 2))), 0),
+        Box(d((2, F(1, 2)), (4, F(1, 2))), F(1, 4)),
+        Box(d((0, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))), F(1, 3)),
+        Box(d((0, F(1, 2)), (4, F(1, 2))), 1),
+    ])
+
+
+def assert_matches_reference(inst, variant):
+    root, table = reference_dp(inst, variant)
+    sol = solve_dp(inst, variant=variant)
+    assert sol.value == root, inst
+    assert sol.table == table, inst
+    assert list(sol.table.items()) == list(table.items()), inst
+    return sol
 
 
 def oracle_instances():
@@ -125,13 +159,35 @@ class TestAgainstFractionRecursion:
     def test_tables_and_values_equal_the_reference(self, variant):
         negative_sigma = 0
         for inst in oracle_instances():
-            root, table = reference_dp(inst, variant)
-            sol = solve_dp(inst, variant=variant)
-            assert sol.value == root, inst
-            assert sol.table == table, inst
-            assert list(sol.table) == list(table), inst
+            assert_matches_reference(inst, variant)
             negative_sigma += any(s < 0 for s in profile(inst).sigmas)
         assert negative_sigma > 0
+
+    @pytest.mark.parametrize("variant", [NONOBLIGATORY, REQUIRED])
+    def test_shared_support_values(self, variant):
+        same = Box(d((0, F(1, 4)), (2, F(1, 2)), (5, F(1, 4))), F(1, 2))
+        instances = [Instance([same] * 4)]
+        instances += [random_instance(n, 4, 3, seed=50 + n, cost_scale_max=F(1, 2)) for n in (3, 5, 6)]
+        for inst in instances:
+            points = sum(len(box.dist.support) for box in inst.boxes)
+            assert len({v for box in inst.boxes for v in box.dist.values()}) < points
+            assert_matches_reference(inst, variant)
+
+    @pytest.mark.parametrize("variant", [NONOBLIGATORY, REQUIRED])
+    def test_ties_between_observed_values_and_means(self, variant):
+        inst = tie_instance()
+        sol = assert_matches_reference(inst, variant)
+        means = [box.dist.expectation() for box in inst.boxes]
+        assert any(best is not None and best in {means[j] for j in u} for u, best in sol.table)
+        if variant == NONOBLIGATORY:
+            assert sol.table[(frozenset({3}), 2)] == (("select_open", None), 2)
+
+    @pytest.mark.parametrize("variant", [NONOBLIGATORY, REQUIRED])
+    def test_seven_boxes_with_wide_supports(self, variant):
+        for seed in (1, 2):
+            inst = wide_instance(7, seed)
+            assert min(len(box.dist.support) for box in inst.boxes) >= 5
+            assert_matches_reference(inst, variant)
 
 
 class TestStructure:
@@ -157,6 +213,13 @@ class TestDPPolicy:
             sol = solve_dp(inst)
             pol = dp_policy(sol)
             assert evaluate_exact(inst, pol).utility == sol.value, inst
+
+    def test_policy_evaluation_on_eight_boxes_with_six_points(self):
+        inst = wide_instance(8, 1, supports=(6,))
+        sol = solve_dp(inst)
+        res = evaluate_exact(inst, dp_policy(sol))
+        assert res.utility == sol.value
+        assert res.path_count > 100
 
     def test_required_policy_evaluation(self):
         for inst in random_batch(10, 3, 3, seed0=1100):

@@ -79,6 +79,23 @@ class TestCommands:
         root = [r for r in doc["table"] if r["uninspected"] == [0, 1]]
         assert root and root[0]["action"]["kind"] == "inspect"
 
+    def test_solve_dp_table_sorts_best_numerically(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["gen", "--random", "3", "4", "12", "1", "5", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(out), "--policy", "dp", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["table"]
+        groups = {}
+        for row in rows:
+            groups.setdefault(tuple(row["uninspected"]), []).append(row["best_open"])
+        assert list(groups) == sorted(groups, key=list)
+        for bests in groups.values():
+            if None in bests:
+                assert bests[0] is None and bests.count(None) == 1
+            numbers = [F(b) for b in bests if b is not None]
+            assert numbers == sorted(numbers)
+        assert [F(b) for b in groups[()]] == [5, 6, 8, 10, 11]
+
     def test_solve_dp_required(self, tight_file, capsys):
         assert main(["solve", tight_file, "--policy", "dp-required", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "1"
