@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, require_rational
+from .core import Instance, Num, SizeGuardError
 from .policies import DecisionTablePolicy
 
 NONOBLIGATORY = "nonobligatory"
@@ -63,7 +63,6 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
         raise ValueError(f"unknown variant {variant!r}")
     if inst.n > max_boxes:
         raise SizeGuardError(f"instance has {inst.n} boxes, guard is {max_boxes}")
-    require_rational(inst)
 
     boxes = inst.boxes
     n = inst.n

@@ -1,11 +1,12 @@
 """Command-line interface: instance I/O, generators, and analyses.
 
 Numbers in instance files are decimal strings or exact fraction strings
-("p/q"); both parse to exact rationals, so no floats contaminate the exact
-pipeline.  Single analyses emit human-readable tables (or JSON with --json);
-sweeps emit CSV.
+("p/q"), or JSON numbers (a float is read through its shortest repr); all
+parse to exact rationals, so no floats reach the exact pipeline.  Single
+analyses emit human-readable tables (or JSON with --json); sweeps emit CSV.
 
-Exit codes: 0 success, 2 input/validation error, 3 size-guard exceeded.
+Exit codes: 0 success, 2 input/validation error or an unwritable output
+file, 3 size-guard exceeded.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
-from .core import Box, DiscreteDist, Instance, InvalidDistributionError, Num, SizeGuardError
+from .core import Box, DiscreteDist, Instance, Num, SizeGuardError
 from . import adaptive, committing, evaluator, generators, reservation, simulator, twobox
 from .policies import CommittingPolicy, Policy, WeitzmanPolicy
 
 # Rational lower bound on 1 - 1/e, used for exact ratio checks.
 ONE_MINUS_INV_E_LB = Fraction(6321205588, 10**10)
+
+DP_VARIANTS = {"dp": adaptive.NONOBLIGATORY, "dp-required": adaptive.REQUIRED}
 
 
 class InputError(ValueError):
@@ -47,8 +49,7 @@ def parse_numlit(x) -> Fraction:
 
 
 def fmt_num(x: Num) -> str:
-    f = Fraction(x) if not isinstance(x, float) else Fraction(repr(x))
-    return str(f)
+    return str(x)
 
 
 def instance_from_doc(doc) -> Instance:
@@ -63,7 +64,7 @@ def instance_from_doc(doc) -> Instance:
                 for e in bdoc["support"]
             ]
             boxes.append(Box(DiscreteDist(pairs), cost))
-        except (KeyError, TypeError, InvalidDistributionError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"box {bi}: {e}") from None
     try:
         return Instance(boxes)
@@ -112,10 +113,8 @@ def build_policy(inst: Instance, spec: str) -> Policy:
     if spec == "best-committing":
         sol = committing.best_committing(inst)
         return CommittingPolicy(inst, sol.best_set)
-    if spec == "dp":
-        return adaptive.dp_policy(adaptive.solve_dp(inst, adaptive.NONOBLIGATORY))
-    if spec == "dp-required":
-        return adaptive.dp_policy(adaptive.solve_dp(inst, adaptive.REQUIRED))
+    if spec in DP_VARIANTS:
+        return adaptive.dp_policy(adaptive.solve_dp(inst, DP_VARIANTS[spec]))
     raise InputError(f"unknown policy spec {spec!r}")
 
 
@@ -168,9 +167,8 @@ def cmd_solve(args) -> int:
         lines.append(f"best reservation set: {sorted(sol.best_set)}")
         for s, v in sol.candidate_values:
             lines.append(f"  S={sorted(s)!s:<10} value = {fmt_num(v)} ({float(v):.6g})")
-    elif spec in ("dp", "dp-required"):
-        variant = adaptive.NONOBLIGATORY if spec == "dp" else adaptive.REQUIRED
-        sol = adaptive.solve_dp(inst, variant)
+    elif spec in DP_VARIANTS:
+        sol = adaptive.solve_dp(inst, DP_VARIANTS[spec])
         value = sol.value
         table_doc = []
         for (uninsp, best), (act, val) in sorted(
@@ -375,10 +373,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (InvalidDistributionError, ValueError) as e:
+    except (ValueError, OSError) as e:
+        # InputError and InvalidDistributionError are ValueErrors; an OSError
+        # is an output file that cannot be written.
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SizeGuardError as e:

@@ -17,7 +17,7 @@ from math import lcm, prod
 from typing import FrozenSet, List, Tuple
 
 from . import reservation
-from .core import Box, DiscreteDist, Instance, Num, require_rational, scaled_cdfs
+from .core import Box, DiscreteDist, Instance, Num, scaled_cdfs
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ def best_committing(inst: Instance) -> CommittingSolution:
     core.scaled_cdfs), and grid values and e_i by the lcm of their
     denominators.  O(n G) products for a grid of G points.
     """
-    require_rational(inst)
     prof = reservation.profile(inst)
     evs = prof.expected_values
     grid = sorted({v for d in prof.kappa_dists for v in d.values()})

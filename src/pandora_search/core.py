@@ -1,12 +1,10 @@
 """Exact discrete distributions, boxes, and problem instances.
 
-All analysis code works on `fractions.Fraction` values so that every identity
-in the library is an equality, not a tolerance check.  Floats are accepted as
-a fallback backend (probabilities then only need to sum to 1 within 1e-12);
-the Monte Carlo simulator is the only module that relies on it.  The
-integer-scaled kernels (`max_of_independents`, `adaptive.solve_dp`,
-`committing.best_committing`) need exact rationals and raise TypeError on
-float data.
+Every value, probability and cost is a `fractions.Fraction` (ints are
+converted on the way in), so every identity in the library is an equality,
+not a tolerance check.  Floats are rejected with TypeError where a
+distribution or box is built.  The Monte Carlo simulator is the one module
+that computes in floats, and it converts the exact data itself.
 """
 
 from __future__ import annotations
@@ -14,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
-Num = Union[int, Fraction, float]
-
-FLOAT_PROB_TOL = 1e-12
+Num = Fraction
 
 
 class InvalidDistributionError(ValueError):
@@ -30,16 +26,11 @@ class SizeGuardError(RuntimeError):
 
 
 def as_num(x) -> Num:
-    """Canonicalize a numeric literal: ints become Fractions, floats stay floats."""
-    if isinstance(x, float):
-        return x
+    """Canonicalize a numeric literal: ints and Fractions become Fractions;
+    anything else, floats included, raises TypeError."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    raise TypeError(f"unsupported numeric type: {type(x).__name__}")
-
-
-def is_exact(x: Num) -> bool:
-    return not isinstance(x, float)
+    raise TypeError(f"unsupported numeric type {type(x).__name__}: use int or Fraction")
 
 
 class DiscreteDist:
@@ -65,10 +56,7 @@ class DiscreteDist:
         if not merged:
             raise InvalidDistributionError("distribution has empty support")
         total = sum(merged.values())
-        if is_exact(total):
-            if total != 1:
-                raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_PROB_TOL:
+        if total != 1:
             raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
         self._support = tuple(sorted(merged.items()))
 
@@ -135,13 +123,10 @@ def scaled_cdfs(dists: Sequence[DiscreteDist], grid: Sequence[Num]) -> List[Tupl
     For every distribution, one sorted sweep over its support and the grid
     gives its probability denominator d (the lcm of its probabilities'
     denominators) and the integers d * P(X <= t) for each grid point t.
-    Probabilities must be exact rationals.
     """
     out = []
-    for k, dist in enumerate(dists):
+    for dist in dists:
         support = dist.support
-        if not all(isinstance(p, Fraction) for _, p in support):
-            raise TypeError(f"distribution {k} has non-rational probabilities")
         den = lcm(*(p.denominator for _, p in support))
         row = []
         acc = 0
@@ -178,16 +163,6 @@ def max_of_independents(dists: Sequence[DiscreteDist]) -> DiscreteDist:
             pairs.append((t, Fraction(cdf - prev, den)))
             prev = cdf
     return DiscreteDist(pairs)
-
-
-def require_rational(inst: "Instance") -> None:
-    """Raise TypeError naming the first box whose values, probabilities or
-    cost are not exact rationals; the integer-scaled kernels need them."""
-    for i, box in enumerate(inst.boxes):
-        data = [box.cost] + [x for pair in box.dist.support for x in pair]
-        if not all(isinstance(x, Fraction) for x in data):
-            raise TypeError(f"box {i} has float data; exact kernels need rational values, "
-                            "probabilities and cost")
 
 
 @dataclass(frozen=True)

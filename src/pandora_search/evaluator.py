@@ -10,7 +10,6 @@ by independence.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -19,18 +18,10 @@ from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectOpen, Trace
 from . import reservation
 
 DEFAULT_PATH_LIMIT = 10_000_000
-PATH_LIMIT_ENV = "PANDORA_PATH_LIMIT"
 
 
 class PathLimitError(SizeGuardError):
     """Exact enumeration exceeded the configured number of sample paths."""
-
-
-def path_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(PATH_LIMIT_ENV)
-    return int(env) if env else DEFAULT_PATH_LIMIT
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,9 @@ class EvalResult:
 
 def _nodes(tree: PolicyTree, limit: Optional[int]) -> Iterator[Tuple[Node, Num]]:
     """Every node of the execution tree with its probability, depth first.
-    Raises PathLimitError at the first terminal node past the guard."""
-    lim = path_limit(limit)
+    Raises PathLimitError at the first terminal node past the guard, which is
+    DEFAULT_PATH_LIMIT when limit is None."""
+    lim = DEFAULT_PATH_LIMIT if limit is None else limit
     paths = 0
     for node, prob in tree.walk():
         if node.children is None:

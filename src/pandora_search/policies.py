@@ -111,14 +111,6 @@ class Trace:
     probability: Num
     utility: Num
 
-    def inspected(self, n: int) -> Tuple[int, ...]:
-        opened = {i for i, _ in self.steps}
-        return tuple(1 if i in opened else 0 for i in range(n))
-
-    def selected(self, n: int) -> Tuple[int, ...]:
-        chosen = self.final.box if not isinstance(self.final, Halt) else None
-        return tuple(1 if i == chosen else 0 for i in range(n))
-
 
 # --- the execution tree ----------------------------------------------------
 
@@ -213,33 +205,14 @@ class Policy:
         raise NotImplementedError
 
 
-class WeitzmanPolicy(Policy):
-    """Index policy: inspect in decreasing reservation-value order, stop and
-    select the best opened box once its value is >= every remaining sigma.
-
-    Ignores the option of selecting a closed box (Policy A baseline)."""
-
-    def __init__(self, inst: Instance):
-        self.instance = inst
-        self.sigmas = reservation.profile(inst).sigmas
-        self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
-
-    def decide(self, state: SearchState) -> Action:
-        remaining = [i for i in self.order if i in state.uninspected]
-        best = state.best_open()
-        if best is not None and (not remaining or best[1] >= self.sigmas[remaining[0]]):
-            return SelectOpen(best[0])
-        if not remaining:
-            return Halt()  # unreachable for n >= 1: something was opened
-        return Inspect(remaining[0])
-
-
 class CommittingPolicy(Policy):
     """The optimal committing policy with a given reservation set S.
 
     Simulates Weitzman's policy on the modified instance where every box in S
     becomes a zero-cost point mass at its mean; "inspecting" such a box is
-    realized as selecting it closed.
+    realized as selecting it closed.  Inspection follows decreasing
+    (modified) reservation value, and the policy stops and selects the best
+    opened box once its value is >= every remaining sigma.
     """
 
     def __init__(self, inst: Instance, reservation_set):
@@ -269,6 +242,14 @@ class CommittingPolicy(Policy):
             # stops immediately; realized here as a closed selection.
             return SelectClosed(nxt)
         return Inspect(nxt)
+
+
+class WeitzmanPolicy(CommittingPolicy):
+    """Weitzman's index policy: the committing policy with S empty, which
+    never selects a closed box (Policy A baseline)."""
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst, ())
 
 
 class DecisionTablePolicy(Policy):

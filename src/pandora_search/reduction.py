@@ -13,15 +13,12 @@ reservation set is the boxes whose kappa-side variable is *not* probed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import FrozenSet, Iterator, Sequence, Tuple
 
-from .core import DiscreteDist, Instance, Num, SizeGuardError, max_of_independents
+from .core import DiscreteDist, Instance, Num, max_of_independents
 from .evaluator import iter_traces
 from .policies import CommittingPolicy, Policy
 from . import reservation
-
-MAX_VARIABLES = 20
 
 
 @dataclass(frozen=True)
@@ -68,17 +65,15 @@ def build_associated(inst: Instance) -> AssociatedProblem:
     return AssociatedProblem(instance=inst, variables=tuple(variables))
 
 
-def _expected_max(prob: AssociatedProblem, probe_set) -> Num:
-    """E[max of probed variables], unprobed counting as 0."""
-    dists = [prob.variables[b] for b in probe_set]
-    dists.append(DiscreteDist.point(0))
-    return max_of_independents(dists).expectation()
+def _expected_max(dists) -> Num:
+    """E[max(0, max of independent draws from dists)]."""
+    return max_of_independents([*dists, DiscreteDist.point(0)]).expectation()
 
 
 def nonadaptive_value(prob: AssociatedProblem, probe_set) -> Num:
     if not prob.is_independent(probe_set):
         raise ValueError(f"probe set {sorted(probe_set)} is not independent")
-    return _expected_max(prob, probe_set)
+    return _expected_max(prob.variables[b] for b in probe_set)
 
 
 def psi_transform(prob: AssociatedProblem, probe_set) -> CommittingPolicy:
@@ -111,23 +106,17 @@ def phi_value_bound(inst: Instance, pol: Policy, limit=None) -> Tuple[Num, Num]:
 
 def multilinear_value(prob: AssociatedProblem, y: Sequence[Num]) -> Num:
     """Multilinear extension F(y): expected objective when each variable is
-    probed independently with probability y_i.  Exact sum over the subsets of
-    coordinates with fractional y; matroid feasibility of y is not required
+    probed independently with probability y_i.  Probes are independent, so
+    F(y) = E[max(0, max_i Z_i)] with independent Z_i = X_i with probability
+    y_i and 0 otherwise: one max_of_independents over these mixtures, O(m G)
+    for a merged grid of G points.  Matroid feasibility of y is not required
     (that is a separate base-polytope question)."""
     m = prob.num_variables
     if len(y) != m:
         raise ValueError(f"expected {m} probabilities, got {len(y)}")
     if any(p < 0 or p > 1 for p in y):
         raise ValueError("probe probabilities must lie in [0, 1]")
-    if m > MAX_VARIABLES:
-        raise SizeGuardError(f"{m} variables exceeds the enumeration guard {MAX_VARIABLES}")
-    fixed_in = [i for i in range(m) if y[i] == 1]
-    free = [i for i in range(m) if 0 < y[i] < 1]
-    total = 0
-    for r in range(len(free) + 1):
-        for chosen in combinations(free, r):
-            weight = 1
-            for i in free:
-                weight *= y[i] if i in chosen else 1 - y[i]
-            total += weight * _expected_max(prob, fixed_in + list(chosen))
-    return total
+    return _expected_max(
+        DiscreteDist([(0, 1 - q)] + [(v, q * p) for v, p in x.support])
+        for x, q in zip(prob.variables, y)
+    )

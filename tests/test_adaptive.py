@@ -132,11 +132,6 @@ class TestSolveDP:
         with pytest.raises(ValueError):
             solve_dp(tight_example(2), variant="sometimes")
 
-    def test_rejects_float_data_naming_the_box(self):
-        inst = Instance([Box(d((1, 1)), 0), Box(DiscreteDist([(0.0, 0.5), (2.0, 0.5)]), 0.25)])
-        with pytest.raises(TypeError, match="box 1"):
-            solve_dp(inst)
-
     def test_size_guard(self):
         inst = Instance([Box(d((1, 1)), 0)] * 3)
         with pytest.raises(SizeGuardError):

@@ -32,6 +32,9 @@ class TestNumLiterals:
     def test_int(self):
         assert parse_numlit(7) == 7
 
+    def test_json_float_is_read_through_its_repr(self):
+        assert parse_numlit(0.45) == F(9, 20)
+
     def test_rejects_garbage(self):
         for bad in ("1/0", "abc", True, None):
             with pytest.raises(InputError):
@@ -160,6 +163,13 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text('{"boxes": [{"cost": "0", "support": [{"value": "1", "prob": "1/3"}]}]}')
         assert main(["profile", str(p)]) == 2
+
+    def test_gen_to_unwritable_path_is_input_error(self, tmp_path):
+        assert main(["gen", "--tight", "10", "-o", str(tmp_path / "missing" / "x.json")]) == 2
+
+    def test_sweep_to_unwritable_path_is_input_error(self, tmp_path):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--family", "tight", "--N-list", "2", "-o", str(out)]) == 2
 
     def test_unknown_policy(self, tight_file):
         assert main(["solve", tight_file, "--policy", "psychic"]) == 2

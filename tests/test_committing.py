@@ -1,8 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
 
-import pytest
-
 from pandora_search import (
     Box,
     CommittingPolicy,
@@ -128,11 +126,6 @@ class TestAgainstClosedForm:
     def test_two_hundred_boxes(self):
         sol = best_committing(random_instance(200, 4, 10, seed=7))
         assert len(sol.candidate_values) == 201
-
-    def test_rejects_float_data_naming_the_box(self):
-        inst = Instance([Box(d((1, 1)), 0), Box(DiscreteDist([(0.0, 0.5), (2.0, 0.5)]), 0.25)])
-        with pytest.raises(TypeError, match="box 1"):
-            best_committing(inst)
 
 
 class TestPairwiseDominance:

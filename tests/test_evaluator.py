@@ -111,13 +111,6 @@ class TestTraces:
         traces = list(iter_traces(inst, WeitzmanPolicy(inst)))
         assert sum(t.probability for t in traces) == 1
 
-    def test_indicator_helpers(self):
-        inst = tight_example(10)
-        traces = list(iter_traces(inst, CommittingPolicy(inst, {1})))
-        for t in traces:
-            assert t.inspected(2) == (1, 0)
-            assert sum(t.selected(2)) == 1
-
     def test_permuting_box_labels_preserves_value(self):
         inst = random_instance(3, 3, 9, seed=15)
         perm = [2, 0, 1]

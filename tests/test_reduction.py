@@ -1,15 +1,12 @@
+import random
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 
 from pandora_search import (
-    Box,
     CallbackPolicy,
     DiscreteDist,
     Halt,
-    Instance,
-    SizeGuardError,
     WeitzmanPolicy,
     best_committing,
     build_associated,
@@ -153,6 +150,20 @@ class TestMultilinear:
         for y in ([F(1, 2)] * 4, [F(1, 3), 1, 0, F(3, 4)], [0, 0, 0, 0]):
             assert multilinear_value(prob, y) == brute_multilinear(prob, y)
 
+    def test_matches_full_subset_oracle_on_random_batch(self):
+        # cost scale 2 gives negative sigma, hence negative kappa-side values
+        rng = random.Random(34)
+        negative = 0
+        for k in range(48):
+            n = 1 + k % 4
+            scale = F(1 + k % 2)
+            inst = random_instance(n, 3, 9, seed=1400 + k, cost_scale_max=scale)
+            prob = build_associated(inst)
+            negative += any(v < 0 for x in prob.variables for v in x.values())
+            y = [rng.choice([0, 1, F(1, 2), F(rng.randint(1, 6), 7)]) for _ in range(2 * n)]
+            assert multilinear_value(prob, y) == brute_multilinear(prob, y), (k, y)
+        assert negative > 0
+
     def test_input_validation(self):
         prob = build_associated(tight_example(10))
         with pytest.raises(ValueError):
@@ -160,7 +171,11 @@ class TestMultilinear:
         with pytest.raises(ValueError):
             multilinear_value(prob, [F(3, 2), 0, 0, 0])
 
-    def test_size_guard(self):
+    def test_twenty_two_variables_at_a_vertex(self):
+        # 22 variables, 2^22 subsets: only a closed form reaches this size
         prob = build_associated(random_instance(11, 2, 9, seed=33))
-        with pytest.raises(SizeGuardError):
-            multilinear_value(prob, [F(1, 2)] * 22)
+        b = {0, 3, 4, 7, 9, 12, 17, 21}
+        y = [1 if i in b else 0 for i in range(22)]
+        assert multilinear_value(prob, y) == nonadaptive_value(prob, b)
+        # the objective max(0, max of probed) is monotone in the probe set
+        assert 0 <= multilinear_value(prob, [F(1, 2)] * 22) <= multilinear_value(prob, [1] * 22)

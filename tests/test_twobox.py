@@ -10,7 +10,6 @@ from pandora_search import (
     DiscreteDist,
     Instance,
     analyze_two_box,
-    nonadapt_lower_bound,
     profile,
     random_instance,
     ratio_certificate,
@@ -147,7 +146,6 @@ class TestCertificate:
             ratio, bound = ratio_certificate(a)
             assert bound >= F(4, 5)
             assert ratio >= bound, seed
-            assert nonadapt_lower_bound(a) == a.nonadapt_lb
 
     def test_certificate_requires_mixed(self):
         inst = Instance([Box(d((0, F(1, 2)), (2, F(1, 2))), 3), Box(d((1, 1)), 5)])
