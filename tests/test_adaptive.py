@@ -132,6 +132,12 @@ class TestSolveDP:
         with pytest.raises(ValueError):
             solve_dp(tight_example(2), variant="sometimes")
 
+    def test_rejects_float_data_naming_the_box(self):
+        # a float value fails where the box's distribution is built, so
+        # solve_dp never receives it
+        with pytest.raises(TypeError, match="float"):
+            solve_dp(Instance([Box(d((1, 1)), 0), Box(d((0.0, F(1, 2)), (2, F(1, 2))), 0)]))
+
     def test_size_guard(self):
         inst = Instance([Box(d((1, 1)), 0)] * 3)
         with pytest.raises(SizeGuardError):

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from pandora_search import (
     Box,
     CommittingPolicy,
@@ -126,6 +128,12 @@ class TestAgainstClosedForm:
     def test_two_hundred_boxes(self):
         sol = best_committing(random_instance(200, 4, 10, seed=7))
         assert len(sol.candidate_values) == 201
+
+    def test_rejects_float_data_naming_the_box(self):
+        # a float cost fails where the box is built, so best_committing
+        # never receives it
+        with pytest.raises(TypeError, match="float"):
+            best_committing(Instance([Box(d((1, 1)), 0), Box(d((0, F(1, 2)), (2, F(1, 2))), 0.25)]))
 
 
 class TestPairwiseDominance:
