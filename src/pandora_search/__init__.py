@@ -10,7 +10,7 @@ from .core import (
     SizeGuardError,
     max_of_independents,
 )
-from .reservation import amortized_bound, profile, reservation_value
+from .reservation import amortized_bound, modified_instance, profile, reservation_value
 from .policies import (
     CallbackPolicy,
     CommittingPolicy,
@@ -29,7 +29,7 @@ from .evaluator import (
     evaluate_nonexposed_closed_form,
     iter_traces,
 )
-from .committing import best_committing, modified_instance
+from .committing import best_committing
 from .adaptive import NONOBLIGATORY, REQUIRED, dp_policy, solve_dp
 from .twobox import (
     ALWAYS_CLOSED,
@@ -60,6 +60,7 @@ __all__ = [
     "amortized_bound",
     "profile",
     "reservation_value",
+    "modified_instance",
     "CallbackPolicy",
     "CommittingPolicy",
     "Halt",
@@ -75,7 +76,6 @@ __all__ = [
     "evaluate_nonexposed_closed_form",
     "iter_traces",
     "best_committing",
-    "modified_instance",
     "NONOBLIGATORY",
     "REQUIRED",
     "dp_policy",

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import Box, DiscreteDist, Instance, Num, SizeGuardError
+from .core import Box, DiscreteDist, Instance, SizeGuardError
 from . import adaptive, committing, evaluator, generators, reservation, simulator, twobox
 from .policies import CommittingPolicy, Policy, WeitzmanPolicy
 
@@ -48,12 +48,8 @@ def parse_numlit(x) -> Fraction:
     raise InputError(f"not a number: {x!r}")
 
 
-def fmt_num(x: Num) -> str:
-    return str(x)
-
-
 def instance_from_doc(doc) -> Instance:
-    if not isinstance(doc, dict) or "boxes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("boxes"), list):
         raise InputError('instance file must be an object with a "boxes" array')
     boxes = []
     for bi, bdoc in enumerate(doc["boxes"]):
@@ -76,9 +72,9 @@ def instance_to_doc(inst: Instance) -> dict:
     return {
         "boxes": [
             {
-                "cost": fmt_num(b.cost),
+                "cost": str(b.cost),
                 "support": [
-                    {"value": fmt_num(v), "prob": fmt_num(p)} for v, p in b.dist.support
+                    {"value": str(v), "prob": str(p)} for v, p in b.dist.support
                 ],
             }
             for b in inst.boxes
@@ -132,10 +128,10 @@ def cmd_profile(args) -> int:
     doc = {
         "boxes": [
             {
-                "sigma": fmt_num(prof.sigmas[i]),
-                "expected_value": fmt_num(prof.expected_values[i]),
+                "sigma": str(prof.sigmas[i]),
+                "expected_value": str(prof.expected_values[i]),
                 "kappa": [
-                    {"value": fmt_num(v), "prob": fmt_num(p)}
+                    {"value": str(v), "prob": str(p)}
                     for v, p in prof.kappa_dists[i].support
                 ],
             }
@@ -144,9 +140,9 @@ def cmd_profile(args) -> int:
     }
     lines = ["box  sigma        E[v]         kappa support"]
     for i in range(inst.n):
-        kap = ", ".join(f"{fmt_num(v)}:{fmt_num(p)}" for v, p in prof.kappa_dists[i].support)
+        kap = ", ".join(f"{v}:{p}" for v, p in prof.kappa_dists[i].support)
         lines.append(
-            f"{i:<4} {fmt_num(prof.sigmas[i]):<12} {fmt_num(prof.expected_values[i]):<12} {{{kap}}}"
+            f"{i:<4} {prof.sigmas[i]!s:<12} {prof.expected_values[i]!s:<12} {{{kap}}}"
         )
     _emit(doc, args.json, lines)
     return 0
@@ -162,11 +158,11 @@ def cmd_solve(args) -> int:
         value = sol.best_value
         doc["best_set"] = sorted(sol.best_set)
         doc["candidates"] = [
-            {"set": sorted(s), "value": fmt_num(v)} for s, v in sol.candidate_values
+            {"set": sorted(s), "value": str(v)} for s, v in sol.candidate_values
         ]
         lines.append(f"best reservation set: {sorted(sol.best_set)}")
         for s, v in sol.candidate_values:
-            lines.append(f"  S={sorted(s)!s:<10} value = {fmt_num(v)} ({float(v):.6g})")
+            lines.append(f"  S={sorted(s)!s:<10} value = {v} ({float(v):.6g})")
     elif spec in DP_VARIANTS:
         sol = adaptive.solve_dp(inst, DP_VARIANTS[spec])
         value = sol.value
@@ -177,9 +173,9 @@ def cmd_solve(args) -> int:
             table_doc.append(
                 {
                     "uninspected": sorted(uninsp),
-                    "best_open": None if best is None else fmt_num(best),
+                    "best_open": None if best is None else str(best),
                     "action": {"kind": act[0], "box": act[1]},
-                    "value": fmt_num(val),
+                    "value": str(val),
                 }
             )
         doc["table"] = table_doc
@@ -194,9 +190,9 @@ def cmd_solve(args) -> int:
     else:
         pol = build_policy(inst, spec)
         value = evaluator.evaluate_exact(inst, pol).utility
-    doc["value"] = fmt_num(value)
+    doc["value"] = str(value)
     doc["value_float"] = float(value)
-    lines.append(f"value = {fmt_num(value)} ({float(value):.12g})")
+    lines.append(f"value = {value} ({float(value):.12g})")
     _emit(doc, args.json, lines)
     return 0
 
@@ -214,16 +210,16 @@ def cmd_ratio(args) -> int:
     ok_e = bc >= ONE_MINUS_INV_E_LB * dp
     ok_45 = (inst.n != 2) or (5 * bc >= 4 * dp)
     doc = {
-        "dp": fmt_num(dp),
-        "best_committing": fmt_num(bc),
-        "ratio": fmt_num(ratio),
+        "dp": str(dp),
+        "best_committing": str(bc),
+        "ratio": str(ratio),
         "ratio_float": float(ratio),
         "floor_1_minus_1_over_e": "PASS" if ok_e else "FAIL",
     }
     lines = [
-        f"dp-optimal       = {fmt_num(dp)} ({float(dp):.12g})",
-        f"best committing  = {fmt_num(bc)} ({float(bc):.12g})",
-        f"ratio            = {fmt_num(ratio)} ({float(ratio):.12g})",
+        f"dp-optimal       = {dp} ({float(dp):.12g})",
+        f"best committing  = {bc} ({float(bc):.12g})",
+        f"ratio            = {ratio} ({float(ratio):.12g})",
         f"1-1/e floor      : {'PASS' if ok_e else 'FAIL'}",
     ]
     if inst.n == 2:
@@ -240,13 +236,9 @@ def cmd_gen(args) -> int:
         inst = twobox.tight_example(args.tight)
     else:
         n, s, vmax, cmax, seed = args.random
-        try:
-            scale = Fraction(cmax)
-        except ValueError:
-            raise InputError(f"bad cost scale {cmax!r}") from None
         inst = generators.random_instance(
             n=int(n), max_support=int(s), value_max=int(vmax),
-            seed=int(seed), cost_scale_max=scale,
+            seed=int(seed), cost_scale_max=parse_numlit(cmax),
         )
     write_instance(inst, args.output)
     return 0
@@ -297,7 +289,7 @@ def cmd_sweep(args) -> int:
         for iid, inst in rows:
             dp, bc, ratio = _ratio_row(inst)
             min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-            writer.writerow([iid, inst.n, fmt_num(dp), fmt_num(bc), fmt_num(ratio), fmt_num(min_ratio)])
+            writer.writerow([iid, inst.n, str(dp), str(bc), str(ratio), str(min_ratio)])
     finally:
         if out is not sys.stdout:
             out.close()

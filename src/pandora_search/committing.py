@@ -17,7 +17,7 @@ from math import lcm, prod
 from typing import FrozenSet, List, Tuple
 
 from . import reservation
-from .core import Box, DiscreteDist, Instance, Num, scaled_cdfs
+from .core import Instance, Num, scaled_cdfs
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,6 @@ class CommittingSolution:
     candidate_values: Tuple[Tuple[FrozenSet[int], Num], ...]
     baseline_policy_a: Num  # Weitzman value, E[max kappa]
     baseline_policy_b: Num  # best closed box, max_i E[v_i]
-
-
-def modified_instance(inst: Instance, reservation_set) -> Instance:
-    """Boxes in the reservation set become zero-cost point masses at E[v]."""
-    s = frozenset(reservation_set)
-    boxes = []
-    for i, box in enumerate(inst.boxes):
-        if i in s:
-            boxes.append(Box(DiscreteDist.point(box.dist.expectation()), 0))
-        else:
-            boxes.append(box)
-    return Instance(boxes)
 
 
 def best_committing(inst: Instance) -> CommittingSolution:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, max_of_independents, DiscreteDist
+from .core import Instance, Num, SizeGuardError, max_of_independents
 from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectOpen, Trace
 from . import reservation
 
@@ -101,21 +101,12 @@ def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> 
     )
 
 
-def amortized_kappa_dists(inst: Instance, reservation_set) -> Tuple[DiscreteDist, ...]:
-    """Per-box law of kappa~ under a committing policy: a point mass at E[v]
-    for boxes in the reservation set, kappa = min(v, sigma) otherwise."""
-    prof = reservation.profile(inst)
-    s = frozenset(reservation_set)
-    return tuple(
-        DiscreteDist.point(prof.expected_values[i]) if i in s else prof.kappa_dists[i]
-        for i in range(inst.n)
-    )
-
-
 def evaluate_nonexposed_closed_form(inst: Instance, reservation_set=frozenset()) -> Num:
     """E[max_i kappa~_i] for the committing policy with the given reservation
     set; equals evaluate_exact(CommittingPolicy(inst, S)).utility.
 
-    With S empty this is the Weitzman value E[max_i kappa_i]."""
-    dists = amortized_kappa_dists(inst, reservation_set)
-    return max_of_independents(dists).expectation()
+    kappa~ is kappa on the modified instance: a point mass at E[v] for boxes
+    in S, min(v, sigma) otherwise.  With S empty this is the Weitzman value
+    E[max_i kappa_i]."""
+    modified = reservation.modified_instance(inst, reservation_set)
+    return max_of_independents(reservation.profile(modified).kappa_dists).expectation()

@@ -73,19 +73,6 @@ class SearchState:
         return best
 
 
-def initial_state(inst: Instance) -> SearchState:
-    return SearchState(observed=(), uninspected=frozenset(range(inst.n)))
-
-
-def apply_action(state: SearchState, action: Action, value: Num = None) -> SearchState:
-    if not isinstance(action, Inspect):
-        raise ValueError("only Inspect transitions produce a new state")
-    return SearchState(
-        observed=state.observed + ((action.box, value),),
-        uninspected=state.uninspected - {action.box},
-    )
-
-
 def check_legal(state: SearchState, action: Action) -> None:
     if isinstance(action, (Inspect, SelectClosed)):
         if action.box not in state.uninspected:
@@ -139,7 +126,7 @@ class PolicyTree:
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
         self.policy = pol
-        self.root = self._node(initial_state(inst), 0)
+        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n))), 0)
 
     def _node(self, state: SearchState, cost: Num) -> Node:
         action = self.policy.decide(state)
@@ -147,9 +134,13 @@ class PolicyTree:
         return Node(state, action, cost)
 
     def _expand(self, node: Node, k: int) -> Node:
-        box = self.instance.boxes[node.action.box]
-        return self._node(apply_action(node.state, node.action, box.dist.support[k][0]),
-                          node.cost + box.cost)
+        i = node.action.box
+        box = self.instance.boxes[i]
+        state = SearchState(
+            observed=node.state.observed + ((i, box.dist.support[k][0]),),
+            uninspected=node.state.uninspected - {i},
+        )
+        return self._node(state, node.cost + box.cost)
 
     def child(self, node: Node, k: int) -> Node:
         """The child of an inspecting node for support index k, built once."""
@@ -220,13 +211,8 @@ class CommittingPolicy(Policy):
         self.reservation_set = frozenset(reservation_set)
         if not self.reservation_set <= set(range(inst.n)):
             raise ValueError("reservation set contains unknown box indices")
-        prof = reservation.profile(inst)
-        # Modified sigma: boxes in S have cost 0 and a point mass at E[v],
-        # hence sigma = E[v]; boxes outside S keep their sigma.
-        self.sigmas = tuple(
-            prof.expected_values[i] if i in self.reservation_set else prof.sigmas[i]
-            for i in range(inst.n)
-        )
+        modified = reservation.modified_instance(inst, self.reservation_set)
+        self.sigmas = reservation.profile(modified).sigmas
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
 
     def decide(self, state: SearchState) -> Action:

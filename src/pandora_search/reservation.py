@@ -1,4 +1,5 @@
-"""Reservation values and amortized (kappa) distributions.
+"""Reservation values, amortized (kappa) distributions and the modified
+instance of a committing policy.
 
 The reservation value sigma of a box is the unique solution of
 E[(v - sigma)^+] = c.  The map sigma -> E[(v - sigma)^+] is piecewise linear,
@@ -64,6 +65,17 @@ def profile(inst: Instance) -> ReservationProfile:
         kappas.append(box.dist.min_with(sigma))
         evs.append(box.dist.expectation())
     return ReservationProfile(tuple(sigmas), tuple(kappas), tuple(evs))
+
+
+def modified_instance(inst: Instance, reservation_set) -> Instance:
+    """Boxes in the reservation set become zero-cost point masses at E[v], so
+    their sigma and kappa are E[v]; the committing policy with reservation
+    set S is Weitzman's policy on this instance."""
+    s = frozenset(reservation_set)
+    return Instance(
+        Box(DiscreteDist.point(box.dist.expectation()), 0) if i in s else box
+        for i, box in enumerate(inst.boxes)
+    )
 
 
 def amortized_bound(result, prof: ReservationProfile) -> Tuple[Tuple[Num, Num], ...]:

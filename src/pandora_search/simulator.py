@@ -104,6 +104,8 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[li
 def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     tree = PolicyTree(inst, pol)
     leaves: Counter = Counter()  # (terminal node, closed draw or None) -> trials
     for outcomes, counts in _outcome_counts(inst, trials, seed):

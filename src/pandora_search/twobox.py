@@ -39,7 +39,6 @@ class TwoBoxAnalysis:
     t: Optional[Num] = None
     y: Optional[Num] = None
     kappa_prime: Optional[DiscreteDist] = None
-    a: Optional[Num] = None  # E[max(kappa', kappa_j)] / E[v_j]
     nonadapt_lb: Optional[Num] = None
 
 
@@ -49,34 +48,22 @@ def _require_two(inst: Instance) -> None:
 
 
 def two_box_threshold(inst: Instance, first: int) -> Num:
-    """Smallest t with E[v_j] = E[max(t, kappa_j)], j the box not inspected
-    first.  The map t -> E[max(t, kappa_j)] is continuous, nondecreasing and
-    piecewise linear on the kappa_j support grid; if it is already flat at
-    E[v_j] (zero-cost box j), the minimum support value is returned."""
+    """The threshold t solving E[max(t, kappa_j)] = E[v_j], j the box not
+    inspected first.
+
+    Since max(t, k) = k + (t - k)^+ and E[v_j] - E[kappa_j] = c_j (the
+    amortization identity), the equation reads E[(t - kappa_j)^+] = c_j.  In
+    the mirror w = -kappa_j, s = -t it is E[(w - s)^+] = c_j, the reservation
+    equation of a box holding -kappa_j at cost c_j; so
+    t = -reservation_value(Box(-kappa_j, c_j)).  At c_j = 0 every
+    t <= min kappa_j solves it, and reservation_value's top-of-support
+    convention gives t = min kappa_j.  At c_j >= E[v_j], kappa_j is a point
+    mass at sigma_j = E[v_j] - c_j and t = E[v_j]."""
     _require_two(inst)
     j = 1 - first
-    prof = reservation.profile(inst)
-    kappa = prof.kappa_dists[j]
-    target = prof.expected_values[j]
-    if target <= kappa.expectation():
-        # cost 0 means E[kappa] = E[v]; flat-region convention.
-        return kappa.min_value()
-    values = kappa.values()
-    # h(t) = sum_{v < t} p*t + sum_{v >= t} p*v, slope P(kappa < t).
-    def h(t):
-        return sum(p * (t if v < t else v) for v, p in kappa.support)
-
-    for k in range(len(values)):
-        lo = values[k]
-        hi = values[k + 1] if k + 1 < len(values) else None
-        slope = kappa.cdf_at(lo)
-        if hi is not None and h(hi) < target:
-            continue
-        # solution in [lo, hi) (or [max, inf) with slope 1 at the top)
-        if hi is None:
-            slope = 1
-        return lo + (target - h(lo)) / slope
-    raise AssertionError("unreachable: h is unbounded above")
+    kappa = reservation.profile(inst).kappa_dists[j]
+    mirror = DiscreteDist((-v, p) for v, p in kappa.support)
+    return -reservation.reservation_value(Box(mirror, inst.boxes[j].cost))
 
 
 def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
@@ -115,7 +102,6 @@ def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
         t=t,
         y=y,
         kappa_prime=kappa_prime,
-        a=e_max / ev_j if ev_j > 0 else None,
         nonadapt_lb=max(ev_j, (1 - y) ** 2 * ev_j + y * e_max),
     )
     return analysis

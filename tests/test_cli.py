@@ -164,6 +164,21 @@ class TestExitCodes:
         p.write_text('{"boxes": [{"cost": "0", "support": [{"value": "1", "prob": "1/3"}]}]}')
         assert main(["profile", str(p)]) == 2
 
+    @pytest.mark.parametrize("boxes", [5, None])
+    def test_boxes_not_an_array_is_input_error(self, tmp_path, boxes):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"boxes": boxes}))
+        assert main(["profile", str(p)]) == 2
+
+    def test_gen_zero_denominator_cost_scale_is_input_error(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--random", "3", "4", "10", "1/0", "7", "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_simulate_seed_past_64_bits_is_input_error(self, tight_file):
+        argv = ["simulate", tight_file, "--policy", "weitzman", "--trials", "10"]
+        assert main(argv + ["--seed", "99999999999999999999999"]) == 2
+
     def test_gen_to_unwritable_path_is_input_error(self, tmp_path):
         assert main(["gen", "--tight", "10", "-o", str(tmp_path / "missing" / "x.json")]) == 2
 

@@ -96,6 +96,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(tight_example(10), WeitzmanPolicy(tight_example(10)), trials=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_philox_key_range(self, seed):
+        inst = tight_example(10)
+        with pytest.raises(ValueError, match="seed"):
+            simulate(inst, WeitzmanPolicy(inst), trials=10, seed=seed)
+
 
 REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman"]
 REFERENCE_TRIALS = 2 * sim.CHUNK + 17  # crosses two chunk boundaries

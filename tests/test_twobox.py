@@ -40,17 +40,26 @@ class TestThreshold:
         assert two_box_threshold(inst, first=0) == 4
 
     def test_threshold_is_a_root(self):
-        for seed in range(30):
-            inst = random_instance(2, 4, 10, seed=seed)
-            prof = profile(inst)
-            for first in (0, 1):
-                j = 1 - first
-                t = two_box_threshold(inst, first)
-                kappa = prof.kappa_dists[j]
-                got = sum(p * max(t, v) for v, p in kappa.support)
-                assert got >= prof.expected_values[j]
-                if prof.expected_values[j] > kappa.expectation():
-                    assert got == prof.expected_values[j]
+        # cost scales 2 and 3 give boxes with c_j >= E[v_j], where kappa_j is
+        # a point mass at sigma_j = E[v_j] - c_j and t = E[v_j]
+        point_masses = 0
+        for seed in range(60):
+            for scale in (1, 2, 3):
+                inst = random_instance(2, 4, 10, seed=seed, cost_scale_max=F(scale))
+                prof = profile(inst)
+                for first in (0, 1):
+                    j = 1 - first
+                    t = two_box_threshold(inst, first)
+                    kappa = prof.kappa_dists[j]
+                    got = sum(p * max(t, v) for v, p in kappa.support)
+                    assert got == prof.expected_values[j], (seed, scale, first)
+                    cost = inst.boxes[j].cost
+                    if cost == 0:
+                        assert t == kappa.min_value(), (seed, scale, first)
+                    if cost >= prof.expected_values[j]:
+                        assert len(kappa.support) == 1
+                        point_masses += 1
+        assert point_masses > 0
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
