@@ -6,12 +6,19 @@ branches only on the values of boxes the policy actually inspects; a box
 selected closed contributes its mean, integrating out the unobserved draw.
 This shrinks the tree from s^n leaves to s^(#inspected) per path and is exact
 by independence.
+
+The walk carries integer weights, each node's probability times the tree's
+scale (the product of the boxes' probability denominators), so enumeration
+adds and multiplies only ints.  evaluate_exact sums the weights per box, and
+per (box, observed value) for open selections, and builds each result's
+Fraction once from those sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, Optional, Tuple
 
 from .core import Instance, Num, SizeGuardError, max_of_independents
 from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectOpen, Trace
@@ -37,18 +44,18 @@ class EvalResult:
     path_count: int
 
 
-def _nodes(tree: PolicyTree, limit: Optional[int]) -> Iterator[Tuple[Node, Num]]:
-    """Every node of the execution tree with its probability, depth first.
+def _nodes(tree: PolicyTree, limit: Optional[int]) -> Iterator[Tuple[Node, int]]:
+    """Every node of the execution tree with its weight, depth first.
     Raises PathLimitError at the first terminal node past the guard, which is
     DEFAULT_PATH_LIMIT when limit is None."""
     lim = DEFAULT_PATH_LIMIT if limit is None else limit
     paths = 0
-    for node, prob in tree.walk():
+    for node, weight in tree.walk():
         if node.children is None:
             paths += 1
             if paths > lim:
                 raise PathLimitError(f"path enumeration exceeded limit of {lim}")
-        yield node, prob
+        yield node, weight
 
 
 def iter_traces(inst: Instance, pol: Policy, limit: Optional[int] = None) -> Iterator[Trace]:
@@ -56,47 +63,57 @@ def iter_traces(inst: Instance, pol: Policy, limit: Optional[int] = None) -> Ite
     probability and expected utility.  Raises PathLimitError past the guard
     and IllegalActionError on a bad policy action."""
     tree = PolicyTree(inst, pol)
-    for node, prob in _nodes(tree, limit):
+    for node, weight in _nodes(tree, limit):
         if node.children is None:
-            yield Trace(node.state.observed, node.action, prob, tree.payoff(node))
+            yield Trace(node.state.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
 
 
 def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> EvalResult:
-    """Exact expectations, accumulated once per node of the execution tree:
-    P(I_i) gathers the probability of every node that inspects box i, and
-    E[I_i c_i] = c_i P(I_i)."""
+    """Exact expectations from integer node weights (probability times
+    tree.scale): per box, the weight of the nodes that inspect it and of the
+    paths that select it closed; per (box, observed value), the weight of the
+    paths that select it open.  Each field's Fraction is built once from
+    these sums, and E[I_i c_i] = c_i P(I_i)."""
     n = inst.n
-    prof = reservation.profile(inst)
-    inspect_probs = [0] * n
-    select_probs = [0] * n
-    selected_value = [0] * n
-    selected_amortized = [0] * n
+    tree = PolicyTree(inst, pol)
+    inspected = [0] * n
+    closed = [0] * n
+    opened: Dict[Tuple[int, Num], int] = {}
     paths = 0
-    for node, prob in _nodes(PolicyTree(inst, pol), limit):
+    for node, weight in _nodes(tree, limit):
         action = node.action
         if isinstance(action, Inspect):
-            inspect_probs[action.box] += prob
+            inspected[action.box] += weight
             continue
         paths += 1
-        if isinstance(action, Halt):
-            continue
-        i = action.box
-        select_probs[i] += prob
         if isinstance(action, SelectOpen):
-            v = dict(node.state.observed)[i]
-            selected_value[i] += prob * v
-            selected_amortized[i] += prob * min(v, prof.sigmas[i])
-        else:
-            selected_value[i] += prob * prof.expected_values[i]
-            selected_amortized[i] += prob * prof.expected_values[i]
-    inspection_cost = [box.cost * p for box, p in zip(inst.boxes, inspect_probs)]
+            # The selected box is nearly always the carried best one.
+            best = node.state.best
+            i = action.box
+            key = best if best[0] == i else (i, dict(node.state.observed)[i])
+            opened[key] = opened.get(key, 0) + weight
+        elif not isinstance(action, Halt):
+            closed[action.box] += weight
+
+    prof = reservation.profile(inst)
+    scale = tree.scale
+    selected = list(closed)
+    value = [w * ev for w, ev in zip(closed, prof.expected_values)]
+    amortized = list(value)
+    for (i, v), w in opened.items():
+        selected[i] += w
+        value[i] += w * v
+        amortized[i] += w * min(v, prof.sigmas[i])
+    inspect_probs = tuple(Fraction(w, scale) for w in inspected)
+    selected_value = tuple(Fraction(x) / scale for x in value)
+    inspection_cost = tuple(box.cost * p for box, p in zip(inst.boxes, inspect_probs))
     return EvalResult(
         utility=sum(selected_value) - sum(inspection_cost),
-        inspect_probs=tuple(inspect_probs),
-        select_probs=tuple(select_probs),
-        selected_value=tuple(selected_value),
-        inspection_cost=tuple(inspection_cost),
-        selected_amortized=tuple(selected_amortized),
+        inspect_probs=inspect_probs,
+        select_probs=tuple(Fraction(w, scale) for w in selected),
+        selected_value=selected_value,
+        inspection_cost=inspection_cost,
+        selected_amortized=tuple(Fraction(x) / scale for x in amortized),
         path_count=paths,
     )
 

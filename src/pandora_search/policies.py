@@ -19,8 +19,11 @@ it depth first, and the simulator routes sampled outcomes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from fractions import Fraction
+from math import lcm, prod
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .core import Instance, Num
 from . import reservation
@@ -56,21 +59,33 @@ Action = Union[Inspect, SelectOpen, SelectClosed, Halt]
 TerminalAction = Union[SelectOpen, SelectClosed, Halt]
 
 
+_SCAN = object()
+
+
 @dataclass(frozen=True)
 class SearchState:
-    """Information available to a policy: observations so far, boxes left."""
+    """Information available to a policy: observations so far, boxes left.
+
+    best is the (box, value) that best_open returns.  The execution tree
+    carries it from parent to child; a state built without it finds it by a
+    scan of observed."""
 
     observed: Tuple[Tuple[int, Num], ...]  # (box, value) in inspection order
     uninspected: FrozenSet[int]
+    best: Optional[Tuple[int, Num]] = field(default=_SCAN, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.best is _SCAN:
+            best = None
+            for i, v in self.observed:
+                if best is None or v > best[1]:
+                    best = (i, v)
+            object.__setattr__(self, "best", best)
 
     def best_open(self) -> Optional[Tuple[int, Num]]:
         """Earliest-inspected opened box achieving the maximum observed value:
         among equal values the first one observed wins, whatever its index."""
-        best = None
-        for i, v in self.observed:
-            if best is None or v > best[1]:
-                best = (i, v)
-        return best
+        return self.best
 
 
 def check_legal(state: SearchState, action: Action) -> None:
@@ -104,13 +119,14 @@ class Trace:
 class Node:
     """One information state reached by a policy: the observed sequence of
     (box, support index) pairs, held as the SearchState it produces, with the
-    policy's (checked) action there and the inspection cost paid to reach it.
-    An inspecting node's children are keyed by the inspected box's support
-    index; a terminal node has children None."""
+    policy's (checked) action there and the inspection cost paid to reach it,
+    in units of 1/PolicyTree.cost_scale.  An inspecting node's children are
+    keyed by the inspected box's support index; a terminal node has children
+    None."""
 
     __slots__ = ("state", "action", "cost", "children")
 
-    def __init__(self, state: SearchState, action: Action, cost: Num):
+    def __init__(self, state: SearchState, action: Action, cost: int):
         self.state = state
         self.action = action
         self.cost = cost
@@ -121,26 +137,42 @@ class PolicyTree:
     """The execution tree of a deterministic policy on an instance, expanded
     lazily: the policy's decide and the legality monitor run once per node,
     when the node is first built, and an illegal action raises
-    IllegalActionError there."""
+    IllegalActionError there.
+
+    Probabilities and costs are scaled integers.  With d_i the lcm of box i's
+    probability denominators, a node's weight is its probability times
+    scale = prod d_i; a node's cost is its inspection cost times cost_scale,
+    the lcm of the cost denominators."""
 
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
         self.policy = pol
-        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n))), 0)
+        self.cost_scale = lcm(*(box.cost.denominator for box in inst.boxes))
+        self._costs = [box.cost.numerator * (self.cost_scale // box.cost.denominator) for box in inst.boxes]
+        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0)
 
-    def _node(self, state: SearchState, cost: Num) -> Node:
+    @cached_property
+    def _dens(self) -> List[int]:
+        return [lcm(*(p.denominator for p in box.dist.probs())) for box in self.instance.boxes]
+
+    @cached_property
+    def scale(self) -> int:
+        return prod(self._dens)
+
+    def _node(self, state: SearchState, cost: int) -> Node:
         action = self.policy.decide(state)
         check_legal(state, action)
         return Node(state, action, cost)
 
     def _expand(self, node: Node, k: int) -> Node:
         i = node.action.box
-        box = self.instance.boxes[i]
-        state = SearchState(
-            observed=node.state.observed + ((i, box.dist.support[k][0]),),
-            uninspected=node.state.uninspected - {i},
-        )
-        return self._node(state, node.cost + box.cost)
+        v = self.instance.boxes[i].dist.support[k][0]
+        state = node.state
+        best = state.best
+        if best is None or v > best[1]:
+            best = (i, v)
+        child = SearchState(state.observed + ((i, v),), state.uninspected - {i}, best)
+        return self._node(child, node.cost + self._costs[i])
 
     def child(self, node: Node, k: int) -> Node:
         """The child of an inspecting node for support index k, built once."""
@@ -149,19 +181,27 @@ class PolicyTree:
             found = node.children[k] = self._expand(node, k)
         return found
 
-    def walk(self) -> Iterator[Tuple[Node, Num]]:
-        """Every node with its probability, depth first with children in
-        support order.  The walk does not keep the nodes it builds, so it
-        holds one root-to-leaf path at a time."""
-
-        def visit(node: Node, prob: Num):
-            yield node, prob
+    def walk(self) -> Iterator[Tuple[Node, int]]:
+        """Every node with its weight (probability times scale), depth first
+        with children in support order.  A child's weight is its parent's
+        // d_i * (p * d_i), so the walk only multiplies integers.  Children
+        are built when the walk reaches them and not kept, so the walk holds
+        one root-to-leaf path (and the pending siblings' weights) at a time."""
+        dens = self._dens
+        # (support index, p * d_i) per box, last index first: the stack pops
+        # them in support order.
+        branches = [[(k, p.numerator * (d // p.denominator)) for k, p in reversed(list(enumerate(box.dist.probs())))]
+                    for box, d in zip(self.instance.boxes, dens)]
+        stack = [(None, 0, self.scale)]
+        while stack:
+            parent, k, weight = stack.pop()
+            node = self.root if parent is None else self._expand(parent, k)
+            yield node, weight
             if node.children is not None:
-                support = self.instance.boxes[node.action.box].dist.support
-                for k, (_, p) in enumerate(support):
-                    yield from visit(self._expand(node, k), prob * p)
-
-        return visit(self.root, 1)
+                i = node.action.box
+                weight //= dens[i]
+                for k, pd in branches[i]:
+                    stack.append((node, k, weight * pd))
 
     def leaf(self, outcome) -> Tuple[Node, Optional[int]]:
         """Route a joint outcome (one support index per box) to its terminal
@@ -186,7 +226,7 @@ class PolicyTree:
             value = dist.expectation() if draw is None else dist.support[draw][0]
         else:
             value = 0
-        return value - node.cost
+        return value - Fraction(node.cost, self.cost_scale)
 
 
 # --- concrete policies -----------------------------------------------------

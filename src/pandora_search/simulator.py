@@ -5,6 +5,12 @@ by (seed, box index)), so the draws of a box never depend on the policy being
 run or on which boxes it inspects: comparisons between policies on the same
 seed use common random numbers.
 
+A box's support index is drawn from raw 64-bit Philox words by integer
+compares: each float cumulative probability c becomes the cut
+ceil(c * 2**53) << 11, and a word r is at or past the cut exactly when
+Generator.random() = (r >> 11) * 2**-53 would be >= c.  The indices are those
+of Generator.random() on the same stream, without converting words to doubles.
+
 Trials are drawn CHUNK at a time and folded into distinct joint outcomes
 (one support index per box) with their counts: by np.bincount over
 mixed-radix outcome ids when the joint support has at most
@@ -57,27 +63,44 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     return tree.payoff(node, draw), inspected, chosen
 
 
+def _raw_cuts(dist) -> List[np.uint64]:
+    """The raw words at which a box's support index steps up.
+
+    The index of a uniform u is the number of float cumulative probabilities
+    c at or below it, the last one left out: u at or past it (it may round
+    below 1) falls on the last support index.  Each c becomes the word cut
+    ceil(c * 2**53) << 11; a cut at or past 2**64 (c rounded to 1.0) is left
+    out too, since no word reaches it."""
+    cuts = []
+    for c in np.cumsum([float(p) for p in dist.probs()])[:-1]:
+        cut = math.ceil(c * 2.0**53) << 11
+        if cut < 2**64:
+            cuts.append(np.uint64(cut))
+    return cuts
+
+
+def _support_index(raw: np.ndarray, cuts: List[np.uint64]) -> np.ndarray:
+    """The support index of each raw word: the number of cuts at or below it,
+    in the smallest unsigned dtype that holds it.  One vectorized compare per
+    cut is, for the small supports boxes have, several times faster than
+    np.searchsorted."""
+    index = np.zeros(len(raw), dtype=np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        index += raw >= c
+    return index
+
+
 def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.ndarray]]:
     """Support indices drawn for each box, CHUNK trials at a time, from one
     Philox stream per box.  Consecutive draws continue the stream, so the
-    values do not depend on the chunking."""
-    gens = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(inst.n)]
-    # The index of a uniform u is the number of cumulative probabilities at
-    # or below it.  The last one is left out: u at or above it (it may round
-    # below 1) falls on the last support index.
-    cuts = [np.cumsum([float(p) for p in b.dist.probs()])[:-1] for b in inst.boxes]
+    values do not depend on the chunking, and they are the indices that
+    Generator.random() draws on the same stream would give."""
+    bits = [np.random.Philox(key=[seed, i]) for i in range(inst.n)]
+    cuts = [_raw_cuts(b.dist) for b in inst.boxes]
     for start in range(0, trials, CHUNK):
         m = min(CHUNK, trials - start)
         chunk = []
-        for gen, cut in zip(gens, cuts):
-            u = gen.random(m)
-            # One vectorized compare per support point: for the small supports
-            # boxes have, several times faster than np.searchsorted.
-            index = np.zeros(m, dtype=np.intp)
-            for c in cut:
-                index += u >= c
-            chunk.append(index)
-        yield chunk
+        yield [_support_index(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
 
 
 def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[list, list]]:
@@ -88,7 +111,7 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[li
     if joint <= OUTCOME_TABLE_LIMIT:
         counts = np.zeros(joint, dtype=np.int64)
         for digits in _draw_chunks(inst, trials, seed):
-            ids = digits[0]
+            ids = digits[0].astype(np.intp)
             for d, s in zip(digits[1:], sizes[1:]):
                 ids *= s
                 ids += d

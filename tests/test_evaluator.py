@@ -26,6 +26,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
+from pandora_search.policies import PolicyTree
 from conftest import random_batch
 
 
@@ -166,6 +167,87 @@ def scripted_policy(inst):
     return CallbackPolicy(decide)
 
 
+def first_opened_policy(inst):
+    """Opens boxes in index order until two are open, then selects the first
+    one opened, whether or not it holds the larger value."""
+    def decide(state):
+        if len(state.observed) < min(2, inst.n):
+            return Inspect(min(state.uninspected))
+        return SelectOpen(state.observed[0][0])
+    return CallbackPolicy(decide)
+
+
+def evaluate_fraction_reference(inst, pol):
+    """evaluate_exact as a per-node Fraction accumulation: P(I_i) gathers the
+    probability of every node that inspects box i and E[I_i c_i] = c_i P(I_i).
+    The recursion runs the policy on hand-built states (best_open found by a
+    scan), not on PolicyTree, so it checks the tree's integer weights and its
+    carried best as well."""
+    n = inst.n
+    prof = profile(inst)
+    inspect_probs, select_probs = [0] * n, [0] * n
+    selected_value, selected_amortized = [0] * n, [0] * n
+    paths = 0
+
+    def visit(state, prob):
+        nonlocal paths
+        action = pol.decide(state)
+        if isinstance(action, Inspect):
+            i = action.box
+            inspect_probs[i] += prob
+            for v, p in inst.boxes[i].dist.support:
+                visit(SearchState(state.observed + ((i, v),), state.uninspected - {i}), prob * p)
+            return
+        paths += 1
+        if isinstance(action, Halt):
+            return
+        i = action.box
+        select_probs[i] += prob
+        if isinstance(action, SelectOpen):
+            v = dict(state.observed)[i]
+            selected_value[i] += prob * v
+            selected_amortized[i] += prob * min(v, prof.sigmas[i])
+        else:
+            selected_value[i] += prob * prof.expected_values[i]
+            selected_amortized[i] += prob * prof.expected_values[i]
+
+    visit(SearchState((), frozenset(range(n))), F(1))
+    inspection_cost = [box.cost * p for box, p in zip(inst.boxes, inspect_probs)]
+    return (sum(selected_value) - sum(inspection_cost), tuple(inspect_probs), tuple(select_probs),
+            tuple(selected_value), tuple(inspection_cost), tuple(selected_amortized), paths)
+
+
+def reference_instances():
+    for n in range(1, 7):
+        for support in range(1, 5):
+            for cost_scale in (1, 2):
+                yield random_instance(n, support, 9, seed=10 * n + support, cost_scale_max=F(cost_scale))
+    for big_n in (2, 10, 1000):
+        yield tight_example(big_n)
+
+
+class TestAgainstFractionReference:
+    def test_every_field_matches(self):
+        for inst in reference_instances():
+            pols = [WeitzmanPolicy(inst), dp_policy(solve_dp(inst)), scripted_policy(inst),
+                    first_opened_policy(inst)]
+            pols += [CommittingPolicy(inst, {i}) for i in range(inst.n)]
+            for pol in pols:
+                res = evaluate_exact(inst, pol)
+                got = (res.utility, res.inspect_probs, res.select_probs, res.selected_value,
+                       res.inspection_cost, res.selected_amortized, res.path_count)
+                assert got == evaluate_fraction_reference(inst, pol), (inst, pol)
+
+    def test_trace_probabilities_are_weights_over_scale(self):
+        for inst in reference_instances():
+            pol = WeitzmanPolicy(inst)
+            tree = PolicyTree(inst, pol)
+            leaves = [(node, w) for node, w in tree.walk() if node.children is None]
+            traces = list(iter_traces(inst, pol))
+            assert [t.probability for t in traces] == [F(w, tree.scale) for _, w in leaves]
+            assert sum(w for _, w in leaves) == tree.scale
+
+
 class TestPerNodeAccumulation:
     def test_matches_per_path_sum(self):
         for inst in random_batch(12, 4, 3, seed0=300):
@@ -186,10 +268,34 @@ class TestPerNodeAccumulation:
                 evaluate_exact(inst, pol, limit=paths - 1)
 
 
+def scanned_best(observed):
+    """The earliest-observed (box, value) with the largest value, by a scan."""
+    top = max((v for _, v in observed), default=None)
+    return next(((i, v) for i, v in observed if v == top), None)
+
+
 class TestTieRule:
     def test_best_open_prefers_earliest_inspected(self):
         state = SearchState(observed=((3, 5), (1, 5)), uninspected=frozenset({0, 2}))
         assert state.best_open() == (3, 5)
+
+    def test_carried_best_matches_a_fresh_scan(self):
+        # shared support values make ties between boxes common
+        tied = Instance([Box(d((1, F(1, 2)), (4, F(1, 2))), F(1, 9)),
+                         Box(d((1, F(1, 3)), (4, F(2, 3))), F(1, 7)),
+                         Box(d((4, F(1, 4)), (1, F(3, 4))), F(1, 5))])
+        everything = CallbackPolicy(lambda s: Inspect(max(s.uninspected)) if s.uninspected
+                                    else SelectOpen(s.best_open()[0]))
+        cases = [(tied, everything), (tied, WeitzmanPolicy(tied))]
+        cases += [(inst, WeitzmanPolicy(inst)) for inst in random_batch(8, 4, 3, seed0=500)]
+        ties = 0
+        for inst, pol in cases:
+            for node, _ in PolicyTree(inst, pol).walk():
+                observed = node.state.observed
+                assert node.state.best_open() == scanned_best(observed), observed
+                values = [v for _, v in observed]
+                ties += len(values) > len(set(values))
+        assert ties > 0
 
     def test_engine_selects_earliest_inspected_on_ties(self):
         # two boxes that always hold 5, inspected in the order 1, 0

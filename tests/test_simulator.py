@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from pandora_search import (
+    Box,
     CallbackPolicy,
     CommittingPolicy,
+    DiscreteDist,
     Halt,
+    Instance,
     WeitzmanPolicy,
     evaluate_exact,
     random_instance,
@@ -103,15 +106,27 @@ class TestSimulate:
             simulate(inst, WeitzmanPolicy(inst), trials=10, seed=seed)
 
 
-REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman"]
+REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman", "tiny-tail", "dyadic"]
 REFERENCE_TRIALS = 2 * sim.CHUNK + 17  # crosses two chunk boundaries
 REFERENCE_SEED = 5
+
+TINY = F(1, 2**60)
+# 1 - 2**-60 rounds to the float 1.0, so its raw-word cut would be 2**64.
+TINY_TAIL = DiscreteDist([(0, 1 - TINY), (50, TINY)])
+# Dyadic cumulative probabilities: a uniform can equal a cut exactly.
+DYADIC = DiscreteDist([(1, F(1, 2)), (2, F(1, 4)), (6, F(1, 4))])
 
 
 def reference_case(case):
     if case == "tight-reserve-long-shot":
         inst = tight_example(10)
         return inst, CommittingPolicy(inst, {1})
+    if case == "tiny-tail":
+        inst = Instance([Box(TINY_TAIL, F(1, 10)), Box(DYADIC, F(1, 4))])
+        return inst, WeitzmanPolicy(inst)
+    if case == "dyadic":
+        inst = Instance([Box(DYADIC, F(1, 8)), Box(DYADIC, F(1, 3)), Box(TINY_TAIL, 0)])
+        return inst, WeitzmanPolicy(inst)
     inst = random_instance(3, 3, 9, seed=70)
     return inst, WeitzmanPolicy(inst)
 
@@ -119,7 +134,9 @@ def reference_case(case):
 @functools.lru_cache(maxsize=None)
 def per_trial_reference(case):
     """The simulator as a per-trial loop: each box's whole stream drawn from
-    Philox(key=[seed, i]) at once, then run_once on every trial."""
+    Philox(key=[seed, i]) by Generator.random at once, then run_once on every
+    trial.  run_once is deterministic, so its result is kept per joint
+    outcome."""
     inst, pol = reference_case(case)
     trials, seed = REFERENCE_TRIALS, REFERENCE_SEED
     idx = np.empty((trials, inst.n), dtype=np.int64)
@@ -131,8 +148,10 @@ def per_trial_reference(case):
     utils = np.empty(trials)
     inspected = np.zeros(inst.n, dtype=np.int64)
     selected = np.zeros(inst.n, dtype=np.int64)
-    for t in range(trials):
-        u, insp, chosen = run_once(inst, pol, [supports[i][k] for i, k in enumerate(idx[t])])
+    execute = functools.lru_cache(maxsize=None)(
+        lambda ks: run_once(inst, pol, [supports[i][k] for i, k in enumerate(ks)]))
+    for t, ks in enumerate(idx.tolist()):
+        u, insp, chosen = execute(tuple(ks))
         utils[t] = float(u)
         inspected += insp
         if chosen is not None:
@@ -158,6 +177,25 @@ class TestAgainstPerTrialReference:
         assert rep.select_freq == select_freq
         assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
         assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
+
+
+@pytest.mark.parametrize("dist", [TINY_TAIL, DYADIC, DiscreteDist([(0, F(1, 3)), (1, F(1, 7)), (2, F(11, 21))])],
+                         ids=["tiny-tail", "dyadic", "thirds"])
+def test_raw_cuts_agree_with_generator_random_at_each_cut(dist):
+    """Words on either side of every float cumulative probability c get the
+    support index that Generator.random()'s u = (r >> 11) * 2**-53 gets."""
+    cum = np.cumsum([float(p) for p in dist.probs()])[:-1]
+    cuts = sim._raw_cuts(dist)
+    words = {0, 2**64 - 1}
+    for c in cum:
+        k = min(math.ceil(c * 2.0**53), 2**53 - 1)
+        words |= {(k - 1) << 11, (k << 11) - 1, k << 11, (k << 11) + 2047}
+    words = sorted(words)
+    u = np.array([(r >> 11) * 2.0**-53 for r in words])
+    expected = np.searchsorted(cum, u, side="right")
+    assert sim._support_index(np.array(words, dtype=np.uint64), cuts).tolist() == expected.tolist()
+    if dist is TINY_TAIL:
+        assert cuts == []
 
 
 def test_memory_does_not_grow_with_trials():
