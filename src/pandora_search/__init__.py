@@ -6,7 +6,6 @@ from .core import (
     Box,
     DiscreteDist,
     Instance,
-    InvalidDistributionError,
     SizeGuardError,
     max_of_independents,
 )
@@ -17,7 +16,6 @@ from .policies import (
     Halt,
     IllegalActionError,
     Inspect,
-    Policy,
     SearchState,
     SelectClosed,
     SelectOpen,
@@ -54,7 +52,6 @@ __all__ = [
     "Box",
     "DiscreteDist",
     "Instance",
-    "InvalidDistributionError",
     "SizeGuardError",
     "max_of_independents",
     "amortized_bound",
@@ -66,7 +63,6 @@ __all__ = [
     "Halt",
     "IllegalActionError",
     "Inspect",
-    "Policy",
     "SearchState",
     "SelectClosed",
     "SelectOpen",

@@ -20,10 +20,11 @@ set U as a bitmask and the index of the best observed value in the sorted
 grid of all support values (-1 while nothing is observed), so equal values of
 different boxes share an index and the running best is a max of indices.
 Let d_i be the common denominator of box i's probabilities and L the lcm of
-the denominators of every support value, cost and mean.  The value of a
-state is an integer once multiplied by L * prod_{i in U} d_i, so inspecting
-i scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every
-candidate compare is an integer compare.  The memo is checked where the
+the denominators of every support value, cost and mean (core.scaled gives
+both).  The value of a state is an integer once multiplied by
+L * prod_{i in U} d_i, so inspecting i scores
+-c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every candidate
+compare is an integer compare.  The memo is checked where the
 inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError
+from .core import Instance, Num, SizeGuardError, scaled
 from .policies import DecisionTablePolicy
 
 NONOBLIGATORY = "nonobligatory"
@@ -55,7 +56,6 @@ class DPSolution:
     value: Num
     table: Dict[DPState, Tuple[AbstractAction, Num]]
     variant: str
-    instance: Instance
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFAULT_MAX_BOXES) -> DPSolution:
@@ -71,20 +71,15 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
     index = {v: k for k, v in enumerate(grid)}
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]
-    scale = lcm(*(x.denominator for x in [*grid, *means, *costs]))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    grid_scaled = [scaled(v) for v in grid]
-    mean_scaled = [scaled(m) for m in means]
-    cost_scaled = [scaled(c) for c in costs]
+    scale, ints = scaled([*grid, *means, *costs])
+    grid_scaled, mean_scaled, cost_scaled = ints[:len(grid)], ints[len(grid):-n], ints[-n:]
     dens = []
     branches = []  # per box: (grid index, p * d_i)
     for box in boxes:
-        d = lcm(*(p.denominator for _, p in box.dist.support))
+        support = box.dist.support
+        d, weights = scaled([p for _, p in support])
         dens.append(d)
-        branches.append(tuple((index[v], p.numerator * (d // p.denominator)) for v, p in box.dist.support))
+        branches.append(tuple((index[v], w) for (v, _), w in zip(support, weights)))
 
     width = len(grid) + 1  # state id: mask * width + best + 1
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
@@ -129,10 +124,10 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
         return top
 
     value((1 << n) - 1, -1, prod(dens))
-    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, variant=variant, instance=inst)
+    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, variant=variant)
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:
     """Executable policy reading actions off the solved table; its exact
     evaluation equals sol.value."""
-    return DecisionTablePolicy(sol.instance, sol.table)
+    return DecisionTablePolicy(sol.table)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import FrozenSet, List, Tuple
 
 from . import reservation
-from .core import Instance, Num, scaled_cdfs
+from .core import Instance, Num, scaled, scaled_cdfs
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,15 @@ def best_committing(inst: Instance) -> CommittingSolution:
     Y_i = max_{j != i} kappa_j has the CDF (prod_{j<i} F_j)(prod_{j>i} F_j),
     a running prefix product times a stored suffix product.  The sums run in
     integers: each F_j scaled by its probability denominator d_j (see
-    core.scaled_cdfs), and grid values and e_i by the lcm of their
-    denominators.  O(n G) products for a grid of G points.
+    core.scaled_cdfs), and grid values and e_i together by core.scaled.
+    O(n G) products for a grid of G points.
     """
     prof = reservation.profile(inst)
     evs = prof.expected_values
     grid = sorted({v for d in prof.kappa_dists for v in d.values()})
     cdfs = scaled_cdfs(prof.kappa_dists, grid)
-    scale = lcm(*(x.denominator for x in grid + list(evs)))
-    points = [t.numerator * (scale // t.denominator) for t in grid]
+    scale, ints = scaled(grid + list(evs))
+    points, evs_scaled = ints[:len(grid)], ints[len(grid):]
 
     def expected_max(floor: int, cdf: List[int], den: int) -> Fraction:
         """E[max(floor, Y)] / scale for Y with CDF cdf / den on the grid;
@@ -70,8 +70,7 @@ def best_committing(inst: Instance) -> CommittingSolution:
     prefix = [1] * len(grid)
     for i, (d, row) in enumerate(cdfs):
         others = [a * b for a, b in zip(prefix, suffix[i + 1])]
-        e = evs[i].numerator * (scale // evs[i].denominator)
-        values.append((frozenset({i}), expected_max(e, others, total_den // d)))
+        values.append((frozenset({i}), expected_max(evs_scaled[i], others, total_den // d)))
         prefix = [a * b for a, b in zip(prefix, row)]
 
     best_set, best_value = values[0]

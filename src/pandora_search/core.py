@@ -117,24 +117,34 @@ class DiscreteDist:
         return f"DiscreteDist({{{inner}}})"
 
 
+def scaled(xs: Sequence[Num]) -> Tuple[int, List[int]]:
+    """(scale, ints): the lcm of the denominators of xs, and each x times it.
+
+    This is the one conversion from Fractions (or ints) to the integers that
+    the exact kernels compute on: scaled_cdfs, adaptive.solve_dp,
+    committing.best_committing and policies.PolicyTree."""
+    dens = [x.denominator for x in xs]
+    scale = lcm(*dens)
+    return scale, [x.numerator * (scale // d) for x, d in zip(xs, dens)]
+
+
 def scaled_cdfs(dists: Sequence[DiscreteDist], grid: Sequence[Num]) -> List[Tuple[int, List[int]]]:
     """Each distribution's CDF on an ascending grid, in integers.
 
     For every distribution, one sorted sweep over its support and the grid
-    gives its probability denominator d (the lcm of its probabilities'
-    denominators) and the integers d * P(X <= t) for each grid point t.
+    gives its probability denominator d (the scale of its probabilities) and
+    the integers d * P(X <= t) for each grid point t.
     """
     out = []
     for dist in dists:
         support = dist.support
-        den = lcm(*(p.denominator for _, p in support))
+        den, probs = scaled([p for _, p in support])
         row = []
         acc = 0
         j = 0
         for t in grid:
             while j < len(support) and support[j][0] <= t:
-                p = support[j][1]
-                acc += p.numerator * (den // p.denominator)
+                acc += probs[j]
                 j += 1
             row.append(acc)
         out.append((den, row))

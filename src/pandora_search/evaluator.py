@@ -9,9 +9,10 @@ by independence.
 
 The walk carries integer weights, each node's probability times the tree's
 scale (the product of the boxes' probability denominators), so enumeration
-adds and multiplies only ints.  evaluate_exact sums the weights per box, and
-per (box, observed value) for open selections, and builds each result's
-Fraction once from those sums.
+adds and multiplies only ints, and it enforces the path guard (PathLimitError
+and DEFAULT_PATH_LIMIT, re-exported from policies).  evaluate_exact sums the
+weights per box, and per (box, observed value) for open selections, and
+builds each result's Fraction once from those sums.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, max_of_independents
-from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectOpen, Trace
+from .core import Instance, Num, max_of_independents
+from .policies import Halt, Inspect, Policy, PolicyTree, SelectOpen, Trace
+from .policies import DEFAULT_PATH_LIMIT, PathLimitError  # re-exported
 from . import reservation
-
-DEFAULT_PATH_LIMIT = 10_000_000
-
-
-class PathLimitError(SizeGuardError):
-    """Exact enumeration exceeded the configured number of sample paths."""
 
 
 @dataclass(frozen=True)
@@ -44,26 +40,12 @@ class EvalResult:
     path_count: int
 
 
-def _nodes(tree: PolicyTree, limit: Optional[int]) -> Iterator[Tuple[Node, int]]:
-    """Every node of the execution tree with its weight, depth first.
-    Raises PathLimitError at the first terminal node past the guard, which is
-    DEFAULT_PATH_LIMIT when limit is None."""
-    lim = DEFAULT_PATH_LIMIT if limit is None else limit
-    paths = 0
-    for node, weight in tree.walk():
-        if node.children is None:
-            paths += 1
-            if paths > lim:
-                raise PathLimitError(f"path enumeration exceeded limit of {lim}")
-        yield node, weight
-
-
 def iter_traces(inst: Instance, pol: Policy, limit: Optional[int] = None) -> Iterator[Trace]:
     """Enumerate every execution path of a deterministic policy with its
     probability and expected utility.  Raises PathLimitError past the guard
     and IllegalActionError on a bad policy action."""
     tree = PolicyTree(inst, pol)
-    for node, weight in _nodes(tree, limit):
+    for node, weight in tree.walk(limit):
         if node.children is None:
             yield Trace(node.state.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
 
@@ -80,7 +62,7 @@ def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> 
     closed = [0] * n
     opened: Dict[Tuple[int, Num], int] = {}
     paths = 0
-    for node, weight in _nodes(tree, limit):
+    for node, weight in tree.walk(limit):
         action = node.action
         if isinstance(action, Inspect):
             inspected[action.box] += weight

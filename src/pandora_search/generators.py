@@ -12,17 +12,18 @@ from fractions import Fraction
 
 from .core import Box, DiscreteDist, Instance
 
+COST_GRID = 8
+
 
 def random_instance(
     n: int,
     max_support: int = 4,
     value_max: int = 10,
-    cost_grid: int = 8,
     seed: int = 0,
     cost_scale_max: Fraction = Fraction(1),
 ) -> Instance:
-    """Random n-box instance.  Costs are uniform on a grid over
-    [0, cost_scale_max * E[v]] per box, so c > E[v] (negative sigma) only
+    """Random n-box instance.  Costs are uniform on a grid of COST_GRID steps
+    over [0, cost_scale_max * E[v]] per box, so c > E[v] (negative sigma) only
     occurs when cost_scale_max > 1."""
     rng = random.Random(seed)
     boxes = []
@@ -33,6 +34,6 @@ def random_instance(
         total = sum(weights)
         dist = DiscreteDist((v, Fraction(w, total)) for v, w in zip(values, weights))
         ev = dist.expectation()
-        cost = ev * cost_scale_max * Fraction(rng.randint(0, cost_grid), cost_grid)
+        cost = ev * cost_scale_max * Fraction(rng.randint(0, COST_GRID), COST_GRID)
         boxes.append(Box(dist, cost))
     return Instance(boxes)

@@ -14,23 +14,31 @@ is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
 which only constrains values strictly above sigma.
 
 PolicyTree is the one engine that executes policies: exact evaluation walks
-it depth first, and the simulator routes sampled outcomes through it.
+it depth first, and the simulator routes sampled outcomes through it.  The
+tree converts the instance's probabilities and costs to integers once, by
+core.scaled, and its walk is where the path guard (PathLimitError) counts
+terminal nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from math import lcm, prod
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from math import prod
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, Num
+from .core import Instance, Num, SizeGuardError, scaled
 from . import reservation
+
+DEFAULT_PATH_LIMIT = 10_000_000
 
 
 class IllegalActionError(RuntimeError):
     """A policy emitted an action that is not legal in its current state."""
+
+
+class PathLimitError(SizeGuardError):
+    """Exact enumeration exceeded the configured number of sample paths."""
 
 
 # --- actions ---------------------------------------------------------------
@@ -139,25 +147,24 @@ class PolicyTree:
     when the node is first built, and an illegal action raises
     IllegalActionError there.
 
-    Probabilities and costs are scaled integers.  With d_i the lcm of box i's
-    probability denominators, a node's weight is its probability times
-    scale = prod d_i; a node's cost is its inspection cost times cost_scale,
-    the lcm of the cost denominators."""
+    Probabilities and costs are scaled integers, converted once here by
+    core.scaled.  With d_i the lcm of box i's probability denominators, a
+    node's weight is its probability times scale = prod d_i; a node's cost is
+    its inspection cost times cost_scale, the lcm of the cost denominators."""
 
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
         self.policy = pol
-        self.cost_scale = lcm(*(box.cost.denominator for box in inst.boxes))
-        self._costs = [box.cost.numerator * (self.cost_scale // box.cost.denominator) for box in inst.boxes]
+        self.cost_scale, self._costs = scaled([box.cost for box in inst.boxes])
+        # Per box: d_i, and (support index, p * d_i) last index first, so that
+        # walk's stack pops them in support order.
+        self._dens, self._branches = [], []
+        for box in inst.boxes:
+            d, weights = scaled(box.dist.probs())
+            self._dens.append(d)
+            self._branches.append(list(enumerate(weights))[::-1])
+        self.scale = prod(self._dens)
         self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0)
-
-    @cached_property
-    def _dens(self) -> List[int]:
-        return [lcm(*(p.denominator for p in box.dist.probs())) for box in self.instance.boxes]
-
-    @cached_property
-    def scale(self) -> int:
-        return prod(self._dens)
 
     def _node(self, state: SearchState, cost: int) -> Node:
         action = self.policy.decide(state)
@@ -181,27 +188,32 @@ class PolicyTree:
             found = node.children[k] = self._expand(node, k)
         return found
 
-    def walk(self) -> Iterator[Tuple[Node, int]]:
+    def walk(self, limit: Optional[int] = None) -> Iterator[Tuple[Node, int]]:
         """Every node with its weight (probability times scale), depth first
         with children in support order.  A child's weight is its parent's
         // d_i * (p * d_i), so the walk only multiplies integers.  Children
         are built when the walk reaches them and not kept, so the walk holds
-        one root-to-leaf path (and the pending siblings' weights) at a time."""
-        dens = self._dens
-        # (support index, p * d_i) per box, last index first: the stack pops
-        # them in support order.
-        branches = [[(k, p.numerator * (d // p.denominator)) for k, p in reversed(list(enumerate(box.dist.probs())))]
-                    for box, d in zip(self.instance.boxes, dens)]
+        one root-to-leaf path (and the pending siblings' weights) at a time.
+        Raises PathLimitError at the first terminal node past limit, which is
+        DEFAULT_PATH_LIMIT when limit is None."""
+        if limit is None:
+            limit = DEFAULT_PATH_LIMIT
+        paths = 0
+        dens, branches = self._dens, self._branches
         stack = [(None, 0, self.scale)]
         while stack:
             parent, k, weight = stack.pop()
             node = self.root if parent is None else self._expand(parent, k)
-            yield node, weight
-            if node.children is not None:
+            if node.children is None:
+                paths += 1
+                if paths > limit:
+                    raise PathLimitError(f"path enumeration exceeded limit of {limit}")
+            else:
                 i = node.action.box
-                weight //= dens[i]
+                child_weight = weight // dens[i]
                 for k, pd in branches[i]:
-                    stack.append((node, k, weight * pd))
+                    stack.append((node, k, child_weight * pd))
+            yield node, weight
 
     def leaf(self, outcome) -> Tuple[Node, Optional[int]]:
         """Route a joint outcome (one support index per box) to its terminal
@@ -247,7 +259,6 @@ class CommittingPolicy(Policy):
     """
 
     def __init__(self, inst: Instance, reservation_set):
-        self.instance = inst
         self.reservation_set = frozenset(reservation_set)
         if not self.reservation_set <= set(range(inst.n)):
             raise ValueError("reservation set contains unknown box indices")
@@ -256,13 +267,17 @@ class CommittingPolicy(Policy):
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
 
     def decide(self, state: SearchState) -> Action:
-        remaining = [i for i in self.order if i in state.uninspected]
+        # A loop: next() over a generator is slower than building the list.
+        for nxt in self.order:
+            if nxt in state.uninspected:
+                break
+        else:
+            nxt = None
         best = state.best_open()
-        if best is not None and (not remaining or best[1] >= self.sigmas[remaining[0]]):
+        if best is not None and (nxt is None or best[1] >= self.sigmas[nxt]):
             return SelectOpen(best[0])
-        if not remaining:
+        if nxt is None:
             return Halt()
-        nxt = remaining[0]
         if nxt in self.reservation_set:
             # Simulation "inspects" the point mass, sees E[v] = sigma, and
             # stops immediately; realized here as a closed selection.
@@ -285,8 +300,7 @@ class DecisionTablePolicy(Policy):
     are abstract actions as produced by the DP solver.
     """
 
-    def __init__(self, inst: Instance, table):
-        self.instance = inst
+    def __init__(self, table):
         self.table = table
 
     def decide(self, state: SearchState) -> Action:

@@ -99,7 +99,6 @@ def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.nda
     cuts = [_raw_cuts(b.dist) for b in inst.boxes]
     for start in range(0, trials, CHUNK):
         m = min(CHUNK, trials - start)
-        chunk = []
         yield [_support_index(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pandora_search import Box, DiscreteDist, Instance, max_of_independents
-from pandora_search.core import InvalidDistributionError
+from pandora_search.core import InvalidDistributionError, scaled
 
 
 def d(*pairs):
@@ -117,6 +117,15 @@ def test_min_with_expectation_identity(dd, sigma):
 def test_rational_arithmetic_is_exact(a, b):
     x, y = a.expectation(), b.expectation()
     assert (x + y) - y == x
+
+
+class TestScaled:
+    def test_mixed_denominators(self):
+        assert scaled([F(1, 6), F(3, 4), 2, F(-5, 9), 0]) == (36, [6, 27, 72, -20, 0])
+
+    def test_ints(self):
+        assert scaled([3, 0, -7]) == (1, [3, 0, -7])
+        assert scaled([]) == (1, [])
 
 
 class TestInstance:

@@ -20,6 +20,7 @@ from pandora_search import (
     evaluate_exact,
     evaluate_nonexposed_closed_form,
     iter_traces,
+    phi_value_bound,
     profile,
     random_instance,
     simulate,
@@ -266,6 +267,20 @@ class TestPerNodeAccumulation:
             assert evaluate_exact(inst, pol, limit=paths).path_count == paths
             with pytest.raises(PathLimitError):
                 evaluate_exact(inst, pol, limit=paths - 1)
+
+
+class TestPathGuard:
+    def test_trace_walks_stop_past_the_path_count(self):
+        # iter_traces and phi_value_bound share evaluate_exact's guard.
+        for inst in random_batch(6, 4, 3, seed0=340):
+            for pol in (WeitzmanPolicy(inst), dp_policy(solve_dp(inst))):
+                paths = evaluate_exact(inst, pol).path_count
+                assert len(list(iter_traces(inst, pol, limit=paths))) == paths
+                assert phi_value_bound(inst, pol, limit=paths) == phi_value_bound(inst, pol)
+                with pytest.raises(PathLimitError):
+                    list(iter_traces(inst, pol, limit=paths - 1))
+                with pytest.raises(PathLimitError):
+                    phi_value_bound(inst, pol, limit=paths - 1)
 
 
 def scanned_best(observed):
