@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Box, DiscreteDist, Instance, Num, max_of_independents
-from . import adaptive, reservation
+from . import reservation
 
 ALWAYS_OPEN = "always-open"
 ALWAYS_CLOSED = "always-closed"
@@ -68,43 +68,35 @@ def two_box_threshold(inst: Instance, first: int) -> Num:
 
 def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
     _require_two(inst)
-    sol = adaptive.solve_dp(inst)
     prof = reservation.profile(inst)
-    root_action = sol.table[(frozenset({0, 1}), None)][0]
+    opt, first, t = max(Fraction(0), *prof.expected_values), None, None
+    for f in (0, 1):
+        t_f = two_box_threshold(inst, f)
+        laws = [inst.boxes[f].dist, DiscreteDist.point(t_f), prof.kappa_dists[1 - f]]
+        value = max_of_independents(laws).expectation() - inst.boxes[f].cost
+        if value > opt:
+            opt, first, t = value, f, t_f
+    if first is None:
+        return TwoBoxAnalysis(category=ALWAYS_CLOSED, opt_value=opt)
 
-    if root_action[0] in ("halt", "select_closed"):
-        return TwoBoxAnalysis(category=ALWAYS_CLOSED, opt_value=sol.value)
-
-    first = root_action[1]
     j = 1 - first
-    closed_prob = 0
-    for v, p in inst.boxes[first].dist.support:
-        act = sol.table[(frozenset({j}), v)][0]
-        if act[0] == "select_closed":
-            closed_prob += p
-    if closed_prob == 0:
-        return TwoBoxAnalysis(category=ALWAYS_OPEN, opt_value=sol.value)
+    ev_j = prof.expected_values[j]
+    if not any(v < t or v == t < ev_j for v in inst.boxes[first].dist.values()):
+        return TwoBoxAnalysis(category=ALWAYS_OPEN, opt_value=opt)
 
-    t = two_box_threshold(inst, first)
     kappa_first = prof.kappa_dists[first]
     y = kappa_first.prob_at_least(t)
-    if y == 0:
-        # All amortized mass below the threshold: the closed box always wins.
-        return TwoBoxAnalysis(category=ALWAYS_CLOSED, opt_value=sol.value)
     kappa_prime = kappa_first.conditioned_at_least(t)
-    ev_j = prof.expected_values[j]
     e_max = max_of_independents([kappa_prime, prof.kappa_dists[j]]).expectation()
-    opt = y * e_max + (1 - y) * ev_j
-    analysis = TwoBoxAnalysis(
+    return TwoBoxAnalysis(
         category=MIXED,
-        opt_value=opt,
+        opt_value=y * e_max + (1 - y) * ev_j,
         first_box=first,
         t=t,
         y=y,
         kappa_prime=kappa_prime,
         nonadapt_lb=max(ev_j, (1 - y) ** 2 * ev_j + y * e_max),
     )
-    return analysis
 
 
 def ratio_certificate(analysis: TwoBoxAnalysis):
