@@ -40,6 +40,7 @@ class TwoBoxAnalysis:
     y: Optional[Num] = None
     kappa_prime: Optional[DiscreteDist] = None
     nonadapt_lb: Optional[Num] = None
+    formula_bound: Optional[Num] = None  # the paper's closed form, >= opt_value
 
 
 def _require_two(inst: Instance) -> None:
@@ -90,12 +91,13 @@ def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
     e_max = max_of_independents([kappa_prime, prof.kappa_dists[j]]).expectation()
     return TwoBoxAnalysis(
         category=MIXED,
-        opt_value=y * e_max + (1 - y) * ev_j,
+        opt_value=opt,
         first_box=first,
         t=t,
         y=y,
         kappa_prime=kappa_prime,
         nonadapt_lb=max(ev_j, (1 - y) ** 2 * ev_j + y * e_max),
+        formula_bound=y * e_max + (1 - y) * ev_j,
     )
 
 

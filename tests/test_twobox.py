@@ -126,8 +126,11 @@ class TestAnalyze:
             inst = random_instance(2, 4, 10, seed=seed)
             a = analyze_two_box(inst)
             dp = solve_dp(inst).value
-            assert a.opt_value >= dp, seed
-            if a.category == MIXED and a.opt_value > dp:
+            assert a.opt_value == dp, seed
+            if a.category != MIXED:
+                continue
+            assert a.formula_bound >= dp, seed
+            if a.formula_bound > dp:
                 strict += 1
         assert strict >= 1  # seed 95 among them
 
@@ -135,7 +138,8 @@ class TestAnalyze:
         inst = random_instance(2, 4, 10, seed=95)
         a = analyze_two_box(inst)
         assert solve_dp(inst).value == F(1501, 312)
-        assert a.opt_value == F(1537, 312)
+        assert a.formula_bound == F(1537, 312)
+        assert a.opt_value == solve_dp(inst).value
 
 
 class TestCertificate:
