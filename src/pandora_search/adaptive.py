@@ -55,7 +55,6 @@ DPState = Tuple[FrozenSet[int], Optional[Num]]
 class DPSolution:
     value: Num
     table: Dict[DPState, Tuple[AbstractAction, Num]]
-    variant: str
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFAULT_MAX_BOXES) -> DPSolution:
@@ -124,7 +123,7 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
         return top
 
     value((1 << n) - 1, -1, prod(dens))
-    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, variant=variant)
+    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table)
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:

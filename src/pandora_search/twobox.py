@@ -1,20 +1,27 @@
 """Closed-form analysis of the two-box problem.
 
-For two boxes the optimal adaptive policy falls into one of three
-categories: it always selects an open box (equivalent to the Weitzman
-index policy), it always selects a closed box, or it mixes: it inspects one
-box first and selects the other closed exactly when the amortized value of
-the first falls below a threshold t solving E[v_other] = E[max(t, kappa_other)].
+Let f be the box inspected first, j the other and t = two_box_threshold(inst,
+f), so E[max(t, kappa_j)] = E[v_j].  After seeing v the best continuation is
+max(v, E[v_j], E[max(v, v_j)] - c_j) = W(v) = E[max(v, t, kappa_j)], by
+amortization (max(v, E[max(v, v_j)] - c_j) = E[max(v, kappa_j)]) and the
+choice of t.  Inspecting f first is worth V_f = E[W(v_f)] - c_f, and the
+optimum is the first strict maximum of 0, E[v_0], E[v_1], V_0, V_1: the DP's
+tie rule (stop, then closed, then inspect, lowest index first).
 
-In the mixed case, with y = P(kappa_first >= t) and kappa' the law of
-kappa_first conditioned on kappa_first >= t, the paper's formula
+If neither V_f wins, the optimum is always-closed.  Otherwise j is taken
+closed after seeing v exactly when v < t or v == t < E[v_j].  t == E[v_j]
+forces kappa_j <= t, and then a box f with min v_f >= t has V_f = E[v_f] - c_f
+and cannot win; so the optimum is mixed exactly when min v_f <= t, and
+always-open (Weitzman's index policy) otherwise.
 
-    opt = y * E[max(kappa', kappa_other)] + (1 - y) * E[v_other]
-
-is an upper bound on the dynamic program's value, not always equal to it:
-on the pair random_instance(2, 4, 10, seed=95) it gives 1537/312 where the
-DP gives 1501/312.  The best committing policy is certified to be within
-1/(1 + y(1-y)) >= 4/5 of opt, hence of the DP value as well.
+In the mixed case, with y = P(kappa_f >= t) and kappa' the law of kappa_f
+given kappa_f >= t, the paper's y E[max(kappa', kappa_j)] + (1 - y) E[v_j] is
+E[W(kappa_f)].  W is convex with slope <= 1, so this formula_bound is >= V_f,
+the opt_value, with equality when W has slope 1 above sigma_f, as it has when
+sigma_f >= sigma_j (W(v) = v above max(t, sigma_j); y > 0 gives sigma_f >= t).
+On random_instance(2, 4, 10, seed=95), where sigma_f < sigma_j, it is 1537/312
+against the optimum 1501/312.  The best committing policy is worth at least
+nonadapt_lb >= formula_bound / (1 + y(1-y)) >= 4/5 of the optimum.
 """
 
 from __future__ import annotations
@@ -52,14 +59,11 @@ def two_box_threshold(inst: Instance, first: int) -> Num:
     """The threshold t solving E[max(t, kappa_j)] = E[v_j], j the box not
     inspected first.
 
-    Since max(t, k) = k + (t - k)^+ and E[v_j] - E[kappa_j] = c_j (the
-    amortization identity), the equation reads E[(t - kappa_j)^+] = c_j.  In
-    the mirror w = -kappa_j, s = -t it is E[(w - s)^+] = c_j, the reservation
-    equation of a box holding -kappa_j at cost c_j; so
-    t = -reservation_value(Box(-kappa_j, c_j)).  At c_j = 0 every
-    t <= min kappa_j solves it, and reservation_value's top-of-support
-    convention gives t = min kappa_j.  At c_j >= E[v_j], kappa_j is a point
-    mass at sigma_j = E[v_j] - c_j and t = E[v_j]."""
+    As max(t, k) = k + (t - k)^+ and E[v_j] - E[kappa_j] = c_j, this reads
+    E[(t - kappa_j)^+] = c_j; in s = -t it is the reservation equation of a
+    box holding -kappa_j at cost c_j, so t = -reservation_value(that box).
+    At c_j = 0 the top-of-support convention gives t = min kappa_j; at
+    c_j >= E[v_j], kappa_j is a point mass at E[v_j] - c_j and t = E[v_j]."""
     _require_two(inst)
     j = 1 - first
     kappa = reservation.profile(inst).kappa_dists[j]
@@ -80,11 +84,11 @@ def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
     if first is None:
         return TwoBoxAnalysis(category=ALWAYS_CLOSED, opt_value=opt)
 
-    j = 1 - first
-    ev_j = prof.expected_values[j]
-    if not any(v < t or v == t < ev_j for v in inst.boxes[first].dist.values()):
+    if inst.boxes[first].dist.min_value() > t:
         return TwoBoxAnalysis(category=ALWAYS_OPEN, opt_value=opt)
 
+    j = 1 - first
+    ev_j = prof.expected_values[j]
     kappa_first = prof.kappa_dists[first]
     y = kappa_first.prob_at_least(t)
     kappa_prime = kappa_first.conditioned_at_least(t)

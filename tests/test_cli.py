@@ -3,7 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from pandora_search import tight_example
+from pandora_search import (
+    REQUIRED,
+    CommittingPolicy,
+    best_committing,
+    dp_policy,
+    simulate,
+    solve_dp,
+    tight_example,
+)
 from pandora_search.cli import (
     ONE_MINUS_INV_E_LB,
     InputError,
@@ -153,6 +161,83 @@ class TestCommands:
         assert main(["sweep", "--random-batch", "4", "2", "3", "9", "0", "-o", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5
+
+
+class TestTextOutput:
+    """The commands without --json print tables for a reader."""
+
+    def test_profile(self, tight_file, capsys):
+        assert main(["profile", tight_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["box", "sigma", "E[v]", "kappa", "support"]
+        assert lines[1].split() == ["0", "1", "1/2", "{0:1/2,", "1:1/2}"]
+        assert lines[2].split() == ["1", "11/2", "1", "{0:9/10,", "11/2:1/10}"]
+
+    def test_solve_dp(self, tight_file, capsys):
+        assert main(["solve", tight_file, "--policy", "dp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "decision table (uninspected | best open -> action, value):"
+        root = [ln for ln in lines if ln.startswith("  U=[0, 1] ")]
+        assert len(root) == 1 and root[0].split()[-4:] == ["inspect(0)", "value", "=", "49/40"]
+        assert len(lines) == 10  # header, eight states, value line
+        assert lines[-1] == "value = 49/40 (1.225)"
+
+    def test_ratio_two_boxes_prints_the_four_fifths_floor(self, tight_file, capsys):
+        assert main(["ratio", tight_file]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "dp-optimal       = 49/40 (1.225)",
+            "best committing  = 1 (1)",
+            "ratio            = 40/49 (0.816326530612)",
+            "1-1/e floor      : PASS",
+            "4/5 floor (n=2)  : PASS",
+        ]
+
+    def test_ratio_omits_the_four_fifths_floor_beyond_two_boxes(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["gen", "--random", "3", "3", "9", "1", "5", "-o", str(out)]) == 0
+        assert main(["ratio", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[-1] == "1-1/e floor      : PASS"
+
+    def test_simulate(self, tight_file, capsys):
+        assert main(["simulate", tight_file, "--policy", "dp", "--trials", "2000", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = simulate(tight_example(10), dp_policy(solve_dp(tight_example(10))), trials=2000, seed=1)
+        assert lines[:4] == [
+            "trials     = 2000  (seed 1)",
+            f"mean       = {report.mean_utility:.6f}",
+            f"std error  = {report.std_error:.6f}",
+            "box  inspect freq  select freq",
+        ]
+        assert len(lines) == 6
+        for i in (0, 1):
+            assert lines[4 + i].split() == [
+                str(i), f"{report.inspect_freq[i]:.6f}", f"{report.select_freq[i]:.6f}"
+            ]
+
+
+@pytest.mark.parametrize(
+    "spec, build",
+    [
+        ("best-committing", lambda inst: CommittingPolicy(inst, best_committing(inst).best_set)),
+        ("dp", lambda inst: dp_policy(solve_dp(inst))),
+        ("dp-required", lambda inst: dp_policy(solve_dp(inst, REQUIRED))),
+    ],
+)
+def test_simulate_spec_matches_the_policy_built_in_process(tight_file, capsys, spec, build):
+    argv = ["simulate", tight_file, "--policy", spec, "--trials", "5000", "--seed", "3", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inst = tight_example(10)
+    report = simulate(inst, build(inst), trials=5000, seed=3)
+    assert doc == {
+        "trials": 5000,
+        "seed": 3,
+        "mean_utility": report.mean_utility,
+        "std_error": report.std_error,
+        "inspect_freq": list(report.inspect_freq),
+        "select_freq": list(report.select_freq),
+    }
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -95,6 +96,17 @@ class TestAnalyze:
         assert a.category == ALWAYS_OPEN
         assert a.opt_value == solve_dp(inst).value == F(53, 8)
 
+    def test_value_at_the_threshold_takes_the_other_box_closed(self):
+        # two free boxes, t = 6: after seeing 6 from box 0, taking box 1
+        # closed (worth 7) ties inspecting it and the tie rule takes it
+        # closed, so the pair is mixed although y = 1
+        inst = Instance([Box(d((6, F(1, 5)), (9, F(4, 5))), 0), Box(d((6, F(1, 2)), (8, F(1, 2))), 0)])
+        a = analyze_two_box(inst)
+        assert (a.category, a.first_box, a.t, a.y) == (MIXED, 0, 6, 1)
+        sol = solve_dp(inst)
+        assert sol.table[(frozenset({1}), 6)][0] == ("select_closed", 1)
+        assert a.opt_value == sol.value == F(43, 5)
+
     def test_threshold_classifies_the_stopping_rule(self):
         # after inspecting the first box, the table selects the other box
         # closed exactly when the amortized value falls strictly below t
@@ -140,6 +152,63 @@ class TestAnalyze:
         assert solve_dp(inst).value == F(1501, 312)
         assert a.formula_bound == F(1537, 312)
         assert a.opt_value == solve_dp(inst).value
+
+
+@lru_cache(maxsize=None)
+def oracle_pairs():
+    """(instance, analysis, DP solution) on random pairs at cost scales 1, 2
+    and 3 and on the tight family; the DP serves only as the oracle."""
+    insts = [
+        random_instance(2, 4, 10, seed=seed, cost_scale_max=F(scale))
+        for scale in (1, 2, 3)
+        for seed in range(150)
+    ] + [tight_example(n) for n in range(2, 31)]
+    return tuple((inst, analyze_two_box(inst), solve_dp(inst)) for inst in insts)
+
+
+class TestAgainstDP:
+    def test_opt_value_is_the_dp_value_in_every_category(self):
+        categories = set()
+        negative_sigma = zero_cost = 0
+        for inst, a, sol in oracle_pairs():
+            assert a.opt_value == sol.value, inst
+            categories.add(a.category)
+            negative_sigma += any(s < 0 for s in profile(inst).sigmas)
+            zero_cost += any(box.cost == 0 for box in inst.boxes)
+        assert categories == {ALWAYS_CLOSED, ALWAYS_OPEN, MIXED}
+        assert negative_sigma > 0 and zero_cost > 0
+
+    def test_category_and_first_box_follow_the_dp_table(self):
+        # always-closed exactly when the root halts or takes a box closed;
+        # otherwise the root inspects first_box, and the pair is mixed exactly
+        # when some value of that box leads the table to take the other closed
+        for inst, a, sol in oracle_pairs():
+            kind, box = sol.table[(frozenset({0, 1}), None)][0]
+            assert (a.category == ALWAYS_CLOSED) == (kind in ("halt", "select_closed")), inst
+            if a.category == ALWAYS_CLOSED:
+                continue
+            assert kind == "inspect"
+            j = 1 - box
+            closed = [
+                sol.table[(frozenset({j}), v)][0] == ("select_closed", j)
+                for v in inst.boxes[box].dist.values()
+            ]
+            assert (a.category == MIXED) == any(closed), inst
+            if a.category == MIXED:
+                assert a.first_box == box
+
+    def test_formula_bounds_the_dp_and_is_exact_when_first_sigma_is_larger(self):
+        exact_cases = 0
+        for inst, a, sol in oracle_pairs():
+            if a.category != MIXED:
+                assert a.formula_bound is None
+                continue
+            assert a.formula_bound >= sol.value, inst
+            sigmas = profile(inst).sigmas
+            if sigmas[a.first_box] >= sigmas[1 - a.first_box]:
+                assert a.formula_bound == sol.value, inst
+                exact_cases += 1
+        assert exact_cases > 0
 
 
 class TestCertificate:
