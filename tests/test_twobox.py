@@ -180,8 +180,9 @@ class TestAgainstDP:
 
     def test_category_and_first_box_follow_the_dp_table(self):
         # always-closed exactly when the root halts or takes a box closed;
-        # otherwise the root inspects first_box, and the pair is mixed exactly
-        # when some value of that box leads the table to take the other closed
+        # otherwise the root inspects a box, the pair is mixed exactly when
+        # some value of that box leads the table to take the other closed,
+        # and a mixed pair's first_box is that box
         for inst, a, sol in oracle_pairs():
             kind, box = sol.table[(frozenset({0, 1}), None)][0]
             assert (a.category == ALWAYS_CLOSED) == (kind in ("halt", "select_closed")), inst
