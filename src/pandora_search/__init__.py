@@ -16,13 +16,13 @@ from .policies import (
     Halt,
     IllegalActionError,
     Inspect,
+    PathLimitError,
     SearchState,
     SelectClosed,
     SelectOpen,
     WeitzmanPolicy,
 )
 from .evaluator import (
-    PathLimitError,
     evaluate_exact,
     evaluate_nonexposed_closed_form,
     iter_traces,

@@ -29,6 +29,11 @@ inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
 entry is stored.
+
+Size guard: a state is one of 2^n masks and one of G + 1 best indices (the G
+distinct support values, or nothing observed), so at most 2^n (G + 1) states
+are solved; solve_dp raises SizeGuardError before solving any when that
+exceeds MAX_DP_STATES.
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ from math import prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .core import Instance, Num, SizeGuardError, scaled
-from .policies import DecisionTablePolicy
+from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
+                       SelectOpen)
 
 NONOBLIGATORY = "nonobligatory"
 REQUIRED = "required"
 
-DEFAULT_MAX_BOXES = 20
+MAX_DP_STATES = 1 << 22
 
 # Abstract action: ("halt"|"select_open"|"select_closed"|"inspect", box or None)
 AbstractAction = Tuple[str, Optional[int]]
@@ -57,16 +63,17 @@ class DPSolution:
     table: Dict[DPState, Tuple[AbstractAction, Num]]
 
 
-def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFAULT_MAX_BOXES) -> DPSolution:
+def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     if variant not in (NONOBLIGATORY, REQUIRED):
         raise ValueError(f"unknown variant {variant!r}")
-    if inst.n > max_boxes:
-        raise SizeGuardError(f"instance has {inst.n} boxes, guard is {max_boxes}")
 
     boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
     grid = sorted({v for box in boxes for v in box.dist.values()})
+    bound = (1 << n) * (len(grid) + 1)
+    if bound > MAX_DP_STATES:
+        raise SizeGuardError(f"DP state bound 2^{n} * {len(grid) + 1} = {bound} exceeds {MAX_DP_STATES}")
     index = {v: k for k, v in enumerate(grid)}
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]
@@ -124,6 +131,26 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY, max_boxes: int = DEFA
 
     value((1 << n) - 1, -1, prod(dens))
     return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table)
+
+
+class DecisionTablePolicy(Policy):
+    """Policy read off a solved table: the one reader of its action strings."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def decide(self, state: SearchState) -> Action:
+        best = state.best_open()
+        key = (state.uninspected, None if best is None else best[1])
+        try:
+            kind, box = self.table[key][0]
+        except KeyError:
+            raise IllegalActionError(f"state {key} not covered by the decision table")
+        if kind == "inspect":
+            return Inspect(box)
+        if kind == "select_closed":
+            return SelectClosed(box)
+        return SelectOpen(best[0]) if kind == "select_open" else Halt()
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:

@@ -10,20 +10,19 @@ by independence.
 The walk carries integer weights, each node's probability times the tree's
 scale (the product of the boxes' probability denominators), so enumeration
 adds and multiplies only ints, and it enforces the path guard (PathLimitError
-and DEFAULT_PATH_LIMIT, re-exported from policies).  evaluate_exact sums the
-weights per box, and per (box, observed value) for open selections, and
-builds each result's Fraction once from those sums.
+past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
+(box, observed value) for open selections, and builds each result's Fraction
+once from those sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .core import Instance, Num, max_of_independents
 from .policies import Halt, Inspect, Policy, PolicyTree, SelectOpen, Trace
-from .policies import DEFAULT_PATH_LIMIT, PathLimitError  # re-exported
 from . import reservation
 
 
@@ -40,17 +39,17 @@ class EvalResult:
     path_count: int
 
 
-def iter_traces(inst: Instance, pol: Policy, limit: Optional[int] = None) -> Iterator[Trace]:
+def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
     """Enumerate every execution path of a deterministic policy with its
     probability and expected utility.  Raises PathLimitError past the guard
     and IllegalActionError on a bad policy action."""
     tree = PolicyTree(inst, pol)
-    for node, weight in tree.walk(limit):
+    for node, weight in tree.walk():
         if node.children is None:
             yield Trace(node.state.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
 
 
-def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> EvalResult:
+def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     """Exact expectations from integer node weights (probability times
     tree.scale): per box, the weight of the nodes that inspect it and of the
     paths that select it closed; per (box, observed value), the weight of the
@@ -62,7 +61,7 @@ def evaluate_exact(inst: Instance, pol: Policy, limit: Optional[int] = None) -> 
     closed = [0] * n
     opened: Dict[Tuple[int, Num], int] = {}
     paths = 0
-    for node, weight in tree.walk(limit):
+    for node, weight in tree.walk():
         action = node.action
         if isinstance(action, Inspect):
             inspected[action.box] += weight

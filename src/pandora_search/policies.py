@@ -17,7 +17,7 @@ PolicyTree is the one engine that executes policies: exact evaluation walks
 it depth first, and the simulator routes sampled outcomes through it.  The
 tree converts the instance's probabilities and costs to integers once, by
 core.scaled, and its walk is where the path guard (PathLimitError) counts
-terminal nodes.
+terminal nodes against PATH_LIMIT.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
 from .core import Instance, Num, SizeGuardError, scaled
 from . import reservation
 
-DEFAULT_PATH_LIMIT = 10_000_000
+PATH_LIMIT = 10_000_000
 
 
 class IllegalActionError(RuntimeError):
@@ -188,16 +188,13 @@ class PolicyTree:
             found = node.children[k] = self._expand(node, k)
         return found
 
-    def walk(self, limit: Optional[int] = None) -> Iterator[Tuple[Node, int]]:
+    def walk(self) -> Iterator[Tuple[Node, int]]:
         """Every node with its weight (probability times scale), depth first
         with children in support order.  A child's weight is its parent's
         // d_i * (p * d_i), so the walk only multiplies integers.  Children
         are built when the walk reaches them and not kept, so the walk holds
         one root-to-leaf path (and the pending siblings' weights) at a time.
-        Raises PathLimitError at the first terminal node past limit, which is
-        DEFAULT_PATH_LIMIT when limit is None."""
-        if limit is None:
-            limit = DEFAULT_PATH_LIMIT
+        Raises PathLimitError at the first terminal node past PATH_LIMIT."""
         paths = 0
         dens, branches = self._dens, self._branches
         stack = [(None, 0, self.scale)]
@@ -206,8 +203,8 @@ class PolicyTree:
             node = self.root if parent is None else self._expand(parent, k)
             if node.children is None:
                 paths += 1
-                if paths > limit:
-                    raise PathLimitError(f"path enumeration exceeded limit of {limit}")
+                if paths > PATH_LIMIT:
+                    raise PathLimitError(f"path enumeration exceeded limit of {PATH_LIMIT}")
             else:
                 i = node.action.box
                 child_weight = weight // dens[i]
@@ -291,32 +288,6 @@ class WeitzmanPolicy(CommittingPolicy):
 
     def __init__(self, inst: Instance):
         super().__init__(inst, ())
-
-
-class DecisionTablePolicy(Policy):
-    """Policy read off a solved dynamic-programming table.
-
-    Table keys are (uninspected set, best observed value or None); entries
-    are abstract actions as produced by the DP solver.
-    """
-
-    def __init__(self, table):
-        self.table = table
-
-    def decide(self, state: SearchState) -> Action:
-        best = state.best_open()
-        key = (state.uninspected, None if best is None else best[1])
-        try:
-            kind, box = self.table[key][0]
-        except KeyError:
-            raise IllegalActionError(f"state {key} not covered by the decision table")
-        if kind == "inspect":
-            return Inspect(box)
-        if kind == "select_closed":
-            return SelectClosed(box)
-        if kind == "select_open":
-            return SelectOpen(best[0])
-        return Halt()
 
 
 class CallbackPolicy(Policy):

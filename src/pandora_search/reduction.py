@@ -86,14 +86,14 @@ def psi_transform(prob: AssociatedProblem, probe_set) -> CommittingPolicy:
     return CommittingPolicy(prob.instance, s)
 
 
-def phi_value_bound(inst: Instance, pol: Policy, limit=None) -> Tuple[Num, Num]:
+def phi_value_bound(inst: Instance, pol: Policy) -> Tuple[Num, Num]:
     """(u_pi, u_phi): the policy's exact utility and the value of its image
     in the associated problem under the kappa-coupling, u_phi = E[max kappa~].
     u_phi >= u_pi for every policy."""
     prof = reservation.profile(inst)
     u_pi = 0
     u_phi = 0
-    for tr in iter_traces(inst, pol, limit):
+    for tr in iter_traces(inst, pol):
         u_pi += tr.probability * tr.utility
         opened = dict(tr.steps)
         best = max(

@@ -65,10 +65,12 @@ def two_box_threshold(inst: Instance, first: int) -> Num:
     At c_j = 0 the top-of-support convention gives t = min kappa_j; at
     c_j >= E[v_j], kappa_j is a point mass at E[v_j] - c_j and t = E[v_j]."""
     _require_two(inst)
-    j = 1 - first
-    kappa = reservation.profile(inst).kappa_dists[j]
-    mirror = DiscreteDist((-v, p) for v, p in kappa.support)
-    return -reservation.reservation_value(Box(mirror, inst.boxes[j].cost))
+    return _threshold(reservation.profile(inst).kappa_dists[1 - first], inst.boxes[1 - first].cost)
+
+
+def _threshold(kappa_j: DiscreteDist, cost_j: Num) -> Num:
+    mirror = DiscreteDist((-v, p) for v, p in kappa_j.support)
+    return -reservation.reservation_value(Box(mirror, cost_j))
 
 
 def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
@@ -76,7 +78,7 @@ def analyze_two_box(inst: Instance) -> TwoBoxAnalysis:
     prof = reservation.profile(inst)
     opt, first, t = max(Fraction(0), *prof.expected_values), None, None
     for f in (0, 1):
-        t_f = two_box_threshold(inst, f)
+        t_f = _threshold(prof.kappa_dists[1 - f], inst.boxes[1 - f].cost)
         laws = [inst.boxes[f].dist, DiscreteDist.point(t_f), prof.kappa_dists[1 - f]]
         value = max_of_independents(laws).expectation() - inst.boxes[f].cost
         if value > opt:

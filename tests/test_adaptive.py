@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from pandora_search import adaptive
 from pandora_search import (
     Box,
     DiscreteDist,
@@ -139,9 +141,24 @@ class TestSolveDP:
             solve_dp(Instance([Box(d((1, 1)), 0), Box(d((0.0, F(1, 2)), (2, F(1, 2))), 0)]))
 
     def test_size_guard(self):
-        inst = Instance([Box(d((1, 1)), 0)] * 3)
+        # 21 point masses at distinct values: a bound of 2^21 * 22 states,
+        # refused before any state is solved.
+        inst = Instance([Box(d((i, 1)), 0) for i in range(21)])
+        start = time.perf_counter()
         with pytest.raises(SizeGuardError):
-            solve_dp(inst, max_boxes=2)
+            solve_dp(inst)
+        assert time.perf_counter() - start < 1
+
+    def test_size_guard_at_the_state_bound(self, monkeypatch):
+        inst = random_instance(3, 3, 10, seed=1)
+        grid = {v for box in inst.boxes for v in box.dist.values()}
+        bound = (1 << inst.n) * (len(grid) + 1)
+        value = solve_dp(inst).value
+        monkeypatch.setattr(adaptive, "MAX_DP_STATES", bound)
+        assert solve_dp(inst).value == value
+        monkeypatch.setattr(adaptive, "MAX_DP_STATES", bound - 1)
+        with pytest.raises(SizeGuardError):
+            solve_dp(inst)
 
 
 class TestAgainstTreeOracle:

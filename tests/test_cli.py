@@ -278,3 +278,9 @@ class TestExitCodes:
         out = tmp_path / "big.json"
         assert main(["gen", "--random", "25", "2", "9", "1", "0", "-o", str(out)]) == 0
         assert main(["solve", str(out), "--policy", "dp"]) == 3
+
+    def test_dp_state_bound_exit_code(self, tmp_path):
+        # 19 boxes: 2^19 * 12 = 6.29M states bound the DP, past MAX_DP_STATES.
+        out = tmp_path / "r19.json"
+        assert main(["gen", "--random", "19", "3", "10", "1", "19", "-o", str(out)]) == 0
+        assert main(["ratio", str(out)]) == 3

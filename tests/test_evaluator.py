@@ -27,6 +27,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
+from pandora_search import policies
 from pandora_search.policies import PolicyTree
 from conftest import random_batch
 
@@ -65,10 +66,11 @@ class TestEvaluateExact:
             for p in res.inspect_probs + res.select_probs:
                 assert 0 <= p <= 1
 
-    def test_path_limit_guard(self):
+    def test_path_limit_guard(self, monkeypatch):
         inst = random_instance(3, 3, 9, seed=3)
+        monkeypatch.setattr(policies, "PATH_LIMIT", 1)
         with pytest.raises(PathLimitError):
-            evaluate_exact(inst, WeitzmanPolicy(inst), limit=1)
+            evaluate_exact(inst, WeitzmanPolicy(inst))
 
     def test_illegal_callback_fails_fast(self):
         inst = tight_example(10)
@@ -260,27 +262,34 @@ class TestPerNodeAccumulation:
                        res.inspection_cost, res.selected_amortized, res.path_count)
                 assert got == evaluate_per_path(inst, pol), (inst, pol)
 
-    def test_path_limit_at_the_path_count(self):
+    def test_path_limit_at_the_path_count(self, monkeypatch):
         for inst in random_batch(6, 4, 3, seed0=320):
             pol = WeitzmanPolicy(inst)
             paths = evaluate_exact(inst, pol).path_count
-            assert evaluate_exact(inst, pol, limit=paths).path_count == paths
+            monkeypatch.setattr(policies, "PATH_LIMIT", paths)
+            assert evaluate_exact(inst, pol).path_count == paths
+            monkeypatch.setattr(policies, "PATH_LIMIT", paths - 1)
             with pytest.raises(PathLimitError):
-                evaluate_exact(inst, pol, limit=paths - 1)
+                evaluate_exact(inst, pol)
+            monkeypatch.undo()
 
 
 class TestPathGuard:
-    def test_trace_walks_stop_past_the_path_count(self):
+    def test_trace_walks_stop_past_the_path_count(self, monkeypatch):
         # iter_traces and phi_value_bound share evaluate_exact's guard.
         for inst in random_batch(6, 4, 3, seed0=340):
             for pol in (WeitzmanPolicy(inst), dp_policy(solve_dp(inst))):
                 paths = evaluate_exact(inst, pol).path_count
-                assert len(list(iter_traces(inst, pol, limit=paths))) == paths
-                assert phi_value_bound(inst, pol, limit=paths) == phi_value_bound(inst, pol)
+                unguarded = phi_value_bound(inst, pol)
+                monkeypatch.setattr(policies, "PATH_LIMIT", paths)
+                assert len(list(iter_traces(inst, pol))) == paths
+                assert phi_value_bound(inst, pol) == unguarded
+                monkeypatch.setattr(policies, "PATH_LIMIT", paths - 1)
                 with pytest.raises(PathLimitError):
-                    list(iter_traces(inst, pol, limit=paths - 1))
+                    list(iter_traces(inst, pol))
                 with pytest.raises(PathLimitError):
-                    phi_value_bound(inst, pol, limit=paths - 1)
+                    phi_value_bound(inst, pol)
+                monkeypatch.undo()
 
 
 def scanned_best(observed):

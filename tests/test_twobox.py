@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from pandora_search import reservation
 from pandora_search import (
     ALWAYS_CLOSED,
     ALWAYS_OPEN,
@@ -68,6 +69,17 @@ class TestThreshold:
 
 
 class TestAnalyze:
+    def test_builds_the_profile_once(self, monkeypatch):
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return profile(inst)
+
+        monkeypatch.setattr(reservation, "profile", counted)
+        analyze_two_box(tight_example(10))
+        assert len(calls) == 1
+
     def test_tight_example_is_mixed(self):
         a = analyze_two_box(tight_example(10))
         assert a.category == MIXED
