@@ -281,18 +281,18 @@ def cmd_sweep(args) -> int:
                 n=n, max_support=s, value_max=vmax, seed=seed0 + k
             )
             rows.append((f"random-{seed0 + k}", inst))
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["instance-id", "n", "dp", "best_committing", "ratio", "min-ratio-so-far"])
-        min_ratio = None
-        for iid, inst in rows:
-            dp, bc, ratio = _ratio_row(inst)
-            min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-            writer.writerow([iid, inst.n, str(dp), str(bc), str(ratio), str(min_ratio)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # Every row comes before -o opens, so an error part-way leaves no file.
+    table = [["instance-id", "n", "dp", "best_committing", "ratio", "min-ratio-so-far"]]
+    min_ratio = None
+    for iid, inst in rows:
+        dp, bc, ratio = _ratio_row(inst)
+        min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
+        table.append([iid, inst.n, str(dp), str(bc), str(ratio), str(min_ratio)])
+    if args.output:
+        with open(args.output, "w", newline="", encoding="utf-8") as out:
+            csv.writer(out).writerows(table)
+    else:
+        csv.writer(sys.stdout).writerows(table)
     return 0
 
 

@@ -45,7 +45,7 @@ def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
     and IllegalActionError on a bad policy action."""
     tree = PolicyTree(inst, pol)
     for node, weight in tree.walk():
-        if node.children is None:
+        if not isinstance(node.action, Inspect):
             yield Trace(node.state.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
 
 

@@ -13,11 +13,12 @@ inspected first, and among equal observed values the box inspected earliest
 is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
 which only constrains values strictly above sigma.
 
-PolicyTree is the one engine that executes policies: exact evaluation walks
-it depth first, and the simulator routes sampled outcomes through it.  The
-tree converts the instance's probabilities and costs to integers once, by
-core.scaled, and its walk is where the path guard (PathLimitError) counts
-terminal nodes against PATH_LIMIT.
+PolicyTree is the one engine that executes policies: one depth-first
+traversal builds each reached node once and splits the weight it carries at
+each inspecting node, integer probabilities for exact evaluation and sampled
+outcomes for the simulator.  The tree converts the instance's probabilities
+and costs to integers once, by core.scaled, and its traversal is where the
+path guard (PathLimitError) counts terminal nodes against PATH_LIMIT.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
 from .core import Instance, Num, SizeGuardError, scaled
 from . import reservation
@@ -128,24 +129,22 @@ class Node:
     """One information state reached by a policy: the observed sequence of
     (box, support index) pairs, held as the SearchState it produces, with the
     policy's (checked) action there and the inspection cost paid to reach it,
-    in units of 1/PolicyTree.cost_scale.  An inspecting node's children are
-    keyed by the inspected box's support index; a terminal node has children
-    None."""
+    in units of 1/PolicyTree.cost_scale.  A node is terminal when its action
+    is not an Inspect."""
 
-    __slots__ = ("state", "action", "cost", "children")
+    __slots__ = ("state", "action", "cost")
 
     def __init__(self, state: SearchState, action: Action, cost: int):
         self.state = state
         self.action = action
         self.cost = cost
-        self.children: Optional[Dict[int, Node]] = {} if isinstance(action, Inspect) else None
 
 
 class PolicyTree:
     """The execution tree of a deterministic policy on an instance, expanded
     lazily: the policy's decide and the legality monitor run once per node,
-    when the node is first built, and an illegal action raises
-    IllegalActionError there.
+    when the node is built, and an illegal action raises IllegalActionError
+    there.
 
     Probabilities and costs are scaled integers, converted once here by
     core.scaled.  With d_i the lcm of box i's probability denominators, a
@@ -156,14 +155,8 @@ class PolicyTree:
         self.instance = inst
         self.policy = pol
         self.cost_scale, self._costs = scaled([box.cost for box in inst.boxes])
-        # Per box: d_i, and (support index, p * d_i) last index first, so that
-        # walk's stack pops them in support order.
-        self._dens, self._branches = [], []
-        for box in inst.boxes:
-            d, weights = scaled(box.dist.probs())
-            self._dens.append(d)
-            self._branches.append(list(enumerate(weights))[::-1])
-        self.scale = prod(self._dens)
+        self._probs = [scaled(box.dist.probs()) for box in inst.boxes]  # (d_i, p * d_i per value)
+        self.scale = prod(d for d, _ in self._probs)
         self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0)
 
     def _node(self, state: SearchState, cost: int) -> Node:
@@ -181,47 +174,36 @@ class PolicyTree:
         child = SearchState(state.observed + ((i, v),), state.uninspected - {i}, best)
         return self._node(child, node.cost + self._costs[i])
 
-    def child(self, node: Node, k: int) -> Node:
-        """The child of an inspecting node for support index k, built once."""
-        found = node.children.get(k)
-        if found is None:
-            found = node.children[k] = self._expand(node, k)
-        return found
+    def traverse(self, weight: Any, split: Callable) -> Iterator[Tuple[Node, Any]]:
+        """Every reached node with the weight it carries, depth first from the
+        root, which carries weight.  At a node inspecting box i, the children
+        are the (support index, child weight) pairs of split(i, weight), a
+        reversible collection, in its order; each is built when reached and
+        not kept.  Raises PathLimitError past PATH_LIMIT terminal nodes."""
+        paths = 0
+        stack = [(None, 0, weight)]
+        while stack:
+            parent, k, weight = stack.pop()
+            node = self.root if parent is None else self._expand(parent, k)
+            if isinstance(node.action, Inspect):
+                for k, w in reversed(split(node.action.box, weight)):
+                    stack.append((node, k, w))
+            else:
+                paths += 1
+                if paths > PATH_LIMIT:
+                    raise PathLimitError(f"path enumeration exceeded limit of {PATH_LIMIT}")
+            yield node, weight
 
     def walk(self) -> Iterator[Tuple[Node, int]]:
         """Every node with its weight (probability times scale), depth first
         with children in support order.  A child's weight is its parent's
-        // d_i * (p * d_i), so the walk only multiplies integers.  Children
-        are built when the walk reaches them and not kept, so the walk holds
-        one root-to-leaf path (and the pending siblings' weights) at a time.
-        Raises PathLimitError at the first terminal node past PATH_LIMIT."""
-        paths = 0
-        dens, branches = self._dens, self._branches
-        stack = [(None, 0, self.scale)]
-        while stack:
-            parent, k, weight = stack.pop()
-            node = self.root if parent is None else self._expand(parent, k)
-            if node.children is None:
-                paths += 1
-                if paths > PATH_LIMIT:
-                    raise PathLimitError(f"path enumeration exceeded limit of {PATH_LIMIT}")
-            else:
-                i = node.action.box
-                child_weight = weight // dens[i]
-                for k, pd in branches[i]:
-                    stack.append((node, k, child_weight * pd))
-            yield node, weight
+        // d_i * (p * d_i), so the walk only multiplies integers."""
+        def split(i, weight):
+            d, weights = self._probs[i]
+            child_weight = weight // d
+            return [(k, child_weight * pd) for k, pd in enumerate(weights)]
 
-    def leaf(self, outcome) -> Tuple[Node, Optional[int]]:
-        """Route a joint outcome (one support index per box) to its terminal
-        node, plus the realized support index of a box selected closed
-        (None for any other terminal action)."""
-        node = self.root
-        while node.children is not None:
-            node = self.child(node, outcome[node.action.box])
-        if isinstance(node.action, SelectClosed):
-            return node, outcome[node.action.box]
-        return node, None
+        return self.traverse(self.scale, split)
 
     def payoff(self, node: Node, draw: Optional[int] = None) -> Num:
         """Utility at a terminal node: the selected box's value minus the

@@ -14,11 +14,11 @@ of Generator.random() on the same stream, without converting words to doubles.
 Trials are drawn CHUNK at a time and folded into distinct joint outcomes
 (one support index per box) with their counts: by np.bincount over
 mixed-radix outcome ids when the joint support has at most
-OUTCOME_TABLE_LIMIT outcomes, by a row-unique of each chunk otherwise.  Each
-distinct outcome is routed once through the policy's execution tree
-(policies.PolicyTree) to its leaf, and the report is reduced from count-weighted
-sums over the leaves.  Memory stays bounded by the chunk and the tree, not by
-the trial count.
+OUTCOME_TABLE_LIMIT outcomes, by a row-unique of each chunk otherwise.  The
+policy's execution tree (policies.PolicyTree) carries the (outcome, count)
+pairs from its root, split at each inspecting node, and the report is reduced
+from count-weighted sums over the leaves.  Memory stays bounded by the chunk
+and the distinct outcomes, not by the trial count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .core import Instance, Num
-from .policies import Halt, Policy, PolicyTree
+from .policies import Halt, Inspect, Policy, PolicyTree, SelectClosed
 
 OUTCOME_TABLE_LIMIT = 1 << 14
 CHUNK = 1 << 15
@@ -56,11 +56,31 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     """
     outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
     tree = PolicyTree(inst, pol)
-    node, draw = tree.leaf(outcome)
+    (node, draw), = _leaves(tree, [(outcome, 1)])
     opened = {i for i, _ in node.state.observed}
     inspected = tuple(1 if i in opened else 0 for i in range(inst.n))
     chosen = None if isinstance(node.action, Halt) else node.action.box
     return tree.payoff(node, draw), inspected, chosen
+
+
+def _leaves(tree: PolicyTree, pairs: list) -> Counter:
+    """Trials per (terminal node, realized support index of a box selected
+    closed, else None) from (outcome, count) pairs split at each inspection."""
+
+    def split(i, pairs):
+        groups = {}
+        for pair in pairs:
+            groups.setdefault(pair[0][i], []).append(pair)
+        return groups.items()
+
+    leaves: Counter = Counter()
+    for node, reached in tree.traverse(pairs, split):
+        if isinstance(node.action, SelectClosed):
+            for outcome, count in reached:
+                leaves[node, outcome[node.action.box]] += count
+        elif not isinstance(node.action, Inspect):
+            leaves[node, None] += sum(count for _, count in reached)
+    return leaves
 
 
 def _raw_cuts(dist) -> List[np.uint64]:
@@ -102,9 +122,8 @@ def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.nda
         yield [_support_index(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
 
 
-def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[list, list]]:
-    """Distinct joint outcomes (lists of support indices) with their trial
-    counts, in batches."""
+def _outcome_counts(inst: Instance, trials: int, seed: int) -> list:
+    """Distinct joint outcomes (sequences of support indices) and their counts."""
     sizes = inst.support_sizes()
     joint = math.prod(sizes)
     if joint <= OUTCOME_TABLE_LIMIT:
@@ -116,11 +135,12 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[Tuple[li
                 ids += d
             counts += np.bincount(ids, minlength=joint)
         seen = np.flatnonzero(counts)
-        yield np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()
-    else:
-        for digits in _draw_chunks(inst, trials, seed):
-            rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
-            yield rows.tolist(), counts.tolist()
+        return list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
+    merged: Counter = Counter()
+    for digits in _draw_chunks(inst, trials, seed):
+        rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
+        merged.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    return list(merged.items())
 
 
 def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
@@ -129,10 +149,7 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     tree = PolicyTree(inst, pol)
-    leaves: Counter = Counter()  # (terminal node, closed draw or None) -> trials
-    for outcomes, counts in _outcome_counts(inst, trials, seed):
-        for outcome, count in zip(outcomes, counts):
-            leaves[tree.leaf(outcome)] += count
+    leaves = _leaves(tree, _outcome_counts(inst, trials, seed))
 
     inspect_count = [0] * inst.n
     select_count = [0] * inst.n

@@ -2,8 +2,8 @@
 
 Each test covers one numbered claim about the library as a whole and prints a
 single ``criterion N: PASS/FAIL`` line (visible with ``pytest -s`` and in
-failure output).  Criterion 7 asserts a closed-form identity that does not
-hold on all instances; it is expected to fail and documents the exact gap.
+failure output).  Criterion 7 checks the two-box closed-form optimum
+(analyze_two_box's opt_value) against the DP on every mixed instance.
 """
 
 import random
@@ -174,11 +174,11 @@ def test_criterion_07_two_box_formula_matches_dp():
             mismatches.append((k, a.opt_value, dp))
     ok = not mismatches
     detail = (
-        "formula = DP on every mixed instance"
+        "opt_value = DP on every mixed instance"
         if ok
-        else f"{len(mismatches)} mixed instances with formula > DP, "
+        else f"{len(mismatches)} mixed instances with opt_value != DP, "
         f"first at seed {mismatches[0][0]}: "
-        f"formula {mismatches[0][1]} vs DP {mismatches[0][2]}"
+        f"opt_value {mismatches[0][1]} vs DP {mismatches[0][2]}"
     )
     report(7, ok, detail)
     assert ok, detail

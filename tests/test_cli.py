@@ -271,6 +271,12 @@ class TestExitCodes:
         out = tmp_path / "missing" / "s.csv"
         assert main(["sweep", "--family", "tight", "--N-list", "2", "-o", str(out)]) == 2
 
+    def test_sweep_guard_leaves_no_partial_output(self, tmp_path):
+        # The first 19-box instance is past the DP state bound.
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--random-batch", "2", "19", "3", "10", "19", "-o", str(out)]) == 3
+        assert not out.exists()
+
     def test_unknown_policy(self, tight_file):
         assert main(["solve", tight_file, "--policy", "psychic"]) == 2
 

@@ -245,7 +245,7 @@ class TestAgainstFractionReference:
         for inst in reference_instances():
             pol = WeitzmanPolicy(inst)
             tree = PolicyTree(inst, pol)
-            leaves = [(node, w) for node, w in tree.walk() if node.children is None]
+            leaves = [(node, w) for node, w in tree.walk() if not isinstance(node.action, Inspect)]
             traces = list(iter_traces(inst, pol))
             assert [t.probability for t in traces] == [F(w, tree.scale) for _, w in leaves]
             assert sum(w for _, w in leaves) == tree.scale

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -12,7 +13,9 @@ from pandora_search import (
     CommittingPolicy,
     DiscreteDist,
     Halt,
+    Inspect,
     Instance,
+    PathLimitError,
     WeitzmanPolicy,
     evaluate_exact,
     random_instance,
@@ -20,6 +23,7 @@ from pandora_search import (
     tight_example,
 )
 import pandora_search.simulator as sim
+from pandora_search import policies
 from pandora_search.simulator import run_once
 
 # Chunked folding sums utilities in another order than the per-trial
@@ -89,10 +93,12 @@ class TestSimulate:
 
     def test_outcome_table_and_trial_loop_agree(self, monkeypatch):
         inst = random_instance(3, 3, 9, seed=70)
-        pol = WeitzmanPolicy(inst)
-        fast = simulate(inst, pol, trials=3000, seed=4)
+        # box 2 (three values) reserved: closed selections with varying draws
+        pols = [WeitzmanPolicy(inst), CommittingPolicy(inst, {2})]
+        cases = [(pol, trials) for pol in pols for trials in (3000, 2 * sim.CHUNK + 17)]
+        fast = [simulate(inst, pol, trials=trials, seed=4) for pol, trials in cases]
         monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", 0)
-        slow = simulate(inst, pol, trials=3000, seed=4)
+        slow = [simulate(inst, pol, trials=trials, seed=4) for pol, trials in cases]
         assert fast == slow
 
     def test_rejects_zero_trials(self):
@@ -104,6 +110,56 @@ class TestSimulate:
         inst = tight_example(10)
         with pytest.raises(ValueError, match="seed"):
             simulate(inst, WeitzmanPolicy(inst), trials=10, seed=seed)
+
+
+def large_joint(seed=0, boxes=8):
+    """Boxes with six support points on 0..20 each, 6^8 joint outcomes (past
+    OUTCOME_TABLE_LIMIT), and costs E[v] * j/28 for shuffled j < boxes, low
+    enough that policies inspect deep."""
+    rng = random.Random(seed)
+    out = []
+    for j in rng.sample(range(boxes), boxes):
+        values = sorted(rng.sample(range(21), 6))
+        weights = [rng.randint(1, 6) for _ in values]
+        dist = DiscreteDist((v, F(w, sum(weights))) for v, w in zip(values, weights))
+        out.append(Box(dist, dist.expectation() * F(j, 28)))
+    return Instance(out)
+
+
+def recording(inst, log):
+    """Weitzman's policy on inst, appending each state it decides on and the
+    action to log."""
+    weitzman = WeitzmanPolicy(inst)
+
+    def decide(state):
+        action = weitzman.decide(state)
+        log.append((state, action))
+        return action
+
+    return CallbackPolicy(decide)
+
+
+class TestOneWalk:
+    def test_simulate_decides_each_state_once(self):
+        inst = large_joint()
+        log = []
+        simulate(inst, recording(inst, log), trials=2000, seed=0)
+        states = [state for state, _ in log]
+        assert len(states) > 300
+        assert len(set(states)) == len(states)
+
+    def test_path_guard_counts_the_leaves_simulate_reaches(self, monkeypatch):
+        inst = large_joint()
+        log = []
+        pol = recording(inst, log)
+        report = simulate(inst, pol, trials=2000, seed=0)
+        leaves = sum(not isinstance(action, Inspect) for _, action in log)
+        assert leaves > 200
+        monkeypatch.setattr(policies, "PATH_LIMIT", leaves)
+        assert simulate(inst, pol, trials=2000, seed=0) == report
+        monkeypatch.setattr(policies, "PATH_LIMIT", leaves - 1)
+        with pytest.raises(PathLimitError):
+            simulate(inst, pol, trials=2000, seed=0)
 
 
 REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman", "tiny-tail", "dyadic"]
