@@ -11,20 +11,18 @@ ceil(c * 2**53) << 11, and a word r is at or past the cut exactly when
 Generator.random() = (r >> 11) * 2**-53 would be >= c.  The indices are those
 of Generator.random() on the same stream, without converting words to doubles.
 
-Trials are drawn CHUNK at a time and folded into distinct joint outcomes
-(one support index per box) with their counts: by np.bincount over
-mixed-radix outcome ids when the joint support has at most
-OUTCOME_TABLE_LIMIT outcomes, by a row-unique of each chunk otherwise.  The
-policy's execution tree (policies.PolicyTree) carries the (outcome, count)
-pairs from its root, split at each inspecting node, and the report is reduced
-from count-weighted sums over the leaves.  Memory stays bounded by the chunk
-and the distinct outcomes, not by the trial count.
+Trials are drawn CHUNK at a time and folded into distinct joint outcomes (one
+support index per box) with their counts: by np.bincount over mixed-radix
+outcome ids, in one batch, when the joint support has at most
+OUTCOME_TABLE_LIMIT outcomes, else by a row-unique of each chunk.  The
+policy's execution tree (policies.PolicyTree) splits each batch's (outcome,
+count) pairs at each inspecting node, the report reduces the trials reaching
+each leaf over all batches, and memory holds one chunk and the leaves.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -56,16 +54,16 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     """
     outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
     tree = PolicyTree(inst, pol)
-    (node, draw), = _leaves(tree, [(outcome, 1)])
+    ((_, draw), (node, _)), = _leaves(tree, [[(outcome, 1)]]).items()
     opened = {i for i, _ in node.state.observed}
     inspected = tuple(1 if i in opened else 0 for i in range(inst.n))
     chosen = None if isinstance(node.action, Halt) else node.action.box
     return tree.payoff(node, draw), inspected, chosen
 
 
-def _leaves(tree: PolicyTree, pairs: list) -> Counter:
-    """Trials per (terminal node, realized support index of a box selected
-    closed, else None) from (outcome, count) pairs split at each inspection."""
+def _leaves(tree: PolicyTree, batches) -> dict:
+    """[terminal node, trials] per leaf that batches of (outcome, count) pairs
+    reach, keyed by the support indices on its path and a closed box's draw."""
 
     def split(i, pairs):
         groups = {}
@@ -73,13 +71,16 @@ def _leaves(tree: PolicyTree, pairs: list) -> Counter:
             groups.setdefault(pair[0][i], []).append(pair)
         return groups.items()
 
-    leaves: Counter = Counter()
-    for node, reached in tree.traverse(pairs, split):
-        if isinstance(node.action, SelectClosed):
-            for outcome, count in reached:
-                leaves[node, outcome[node.action.box]] += count
-        elif not isinstance(node.action, Inspect):
-            leaves[node, None] += sum(count for _, count in reached)
+    leaves = {}
+    for pairs in batches:
+        for node, reached in tree.traverse(pairs, split):
+            if not isinstance(node.action, Inspect):
+                path = tuple(reached[0][0][i] for i, _ in node.state.observed)
+                if isinstance(node.action, SelectClosed):
+                    for outcome, count in reached:
+                        leaves.setdefault((path, outcome[node.action.box]), [node, 0])[1] += count
+                else:
+                    leaves.setdefault((path, None), [node, 0])[1] += sum(c for _, c in reached)
     return leaves
 
 
@@ -122,8 +123,8 @@ def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.nda
         yield [_support_index(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
 
 
-def _outcome_counts(inst: Instance, trials: int, seed: int) -> list:
-    """Distinct joint outcomes (sequences of support indices) and their counts."""
+def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
+    """Batches of (joint outcome, trials) pairs, each outcome once per batch."""
     sizes = inst.support_sizes()
     joint = math.prod(sizes)
     if joint <= OUTCOME_TABLE_LIMIT:
@@ -135,12 +136,11 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> list:
                 ids += d
             counts += np.bincount(ids, minlength=joint)
         seen = np.flatnonzero(counts)
-        return list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
-    merged: Counter = Counter()
-    for digits in _draw_chunks(inst, trials, seed):
-        rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
-        merged.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-    return list(merged.items())
+        yield list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
+    else:
+        for digits in _draw_chunks(inst, trials, seed):
+            rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
+            yield list(zip(rows.tolist(), counts.tolist()))
 
 
 def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
@@ -154,7 +154,7 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     inspect_count = [0] * inst.n
     select_count = [0] * inst.n
     weighted = []  # (trials, float utility) per leaf
-    for (node, draw), count in leaves.items():
+    for (_, draw), (node, count) in leaves.items():
         for i, _ in node.state.observed:
             inspect_count[i] += count
         if not isinstance(node.action, Halt):

@@ -143,6 +143,7 @@ class TestOneWalk:
     def test_simulate_decides_each_state_once(self):
         inst = large_joint()
         log = []
+        # 2 000 trials are one chunk, so one traversal; each chunk has its own.
         simulate(inst, recording(inst, log), trials=2000, seed=0)
         states = [state for state, _ in log]
         assert len(states) > 300
@@ -264,3 +265,19 @@ def test_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+def test_memory_does_not_grow_with_trials_past_the_outcome_table():
+    # Costs of 9/10 of each box's mean: Weitzman's policy stops after one or
+    # two inspections, so the leaves stay few while most trials draw a joint
+    # outcome (of 6^8) that no earlier chunk drew.
+    inst = Instance([Box(b.dist, b.dist.expectation() * F(9, 10)) for b in large_joint().boxes])
+    peaks = []
+    for trials in (2 * sim.CHUNK, 10 * sim.CHUNK):
+        tracemalloc.start()
+        try:
+            simulate(inst, WeitzmanPolicy(inst), trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20, peaks
