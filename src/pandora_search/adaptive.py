@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, scaled
+from .core import Instance, Num, SizeGuardError, scaled, value_grid
 from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
                        SelectOpen)
 
@@ -70,7 +70,7 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    grid = sorted({v for box in boxes for v in box.dist.values()})
+    grid = value_grid(box.dist for box in boxes)
     bound = (1 << n) * (len(grid) + 1)
     if bound > MAX_DP_STATES:
         raise SizeGuardError(f"DP state bound 2^{n} * {len(grid) + 1} = {bound} exceeds {MAX_DP_STATES}")

@@ -12,8 +12,10 @@ file, 3 size-guard exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -281,18 +283,23 @@ def cmd_sweep(args) -> int:
                 n=n, max_support=s, value_max=vmax, seed=seed0 + k
             )
             rows.append((f"random-{seed0 + k}", inst))
-    # Every row comes before -o opens, so an error part-way leaves no file.
-    table = [["instance-id", "n", "dp", "best_committing", "ratio", "min-ratio-so-far"]]
-    min_ratio = None
-    for iid, inst in rows:
-        dp, bc, ratio = _ratio_row(inst)
-        min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-        table.append([iid, inst.n, str(dp), str(bc), str(ratio), str(min_ratio)])
-    if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as out:
+    # -o opens before the first row, so an unwritable path fails before any
+    # DP is solved, and a row that raises removes it, leaving no partial file.
+    with (open(args.output, "w", newline="", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        try:
+            table = [["instance-id", "n", "dp", "best_committing", "ratio", "min-ratio-so-far"]]
+            min_ratio = None
+            for iid, inst in rows:
+                dp, bc, ratio = _ratio_row(inst)
+                min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
+                table.append([iid, inst.n, str(dp), str(bc), str(ratio), str(min_ratio)])
             csv.writer(out).writerows(table)
-    else:
-        csv.writer(sys.stdout).writerows(table)
+        except BaseException:
+            if args.output:
+                out.close()
+                os.remove(args.output)
+            raise
     return 0
 
 

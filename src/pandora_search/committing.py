@@ -17,7 +17,7 @@ from math import prod
 from typing import FrozenSet, List, Tuple
 
 from . import reservation
-from .core import Instance, Num, scaled, scaled_cdfs
+from .core import Instance, Num, scaled, scaled_cdfs, value_grid
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def best_committing(inst: Instance) -> CommittingSolution:
     """
     prof = reservation.profile(inst)
     evs = prof.expected_values
-    grid = sorted({v for d in prof.kappa_dists for v in d.values()})
+    grid = value_grid(prof.kappa_dists)
     cdfs = scaled_cdfs(prof.kappa_dists, grid)
     scale, ints = scaled(grid + list(evs))
     points, evs_scaled = ints[:len(grid)], ints[len(grid):]

@@ -128,6 +128,13 @@ def scaled(xs: Sequence[Num]) -> Tuple[int, List[int]]:
     return scale, [x.numerator * (scale // d) for x, d in zip(xs, dens)]
 
 
+def value_grid(dists: Iterable[DiscreteDist]) -> List[Num]:
+    """The sorted distinct support values of dists: the grid whose ranks
+    index values in solve_dp, max_of_independents, best_committing and
+    policies.PolicyTree."""
+    return sorted({v for d in dists for v in d.values()})
+
+
 def scaled_cdfs(dists: Sequence[DiscreteDist], grid: Sequence[Num]) -> List[Tuple[int, List[int]]]:
     """Each distribution's CDF on an ascending grid, in integers.
 
@@ -160,7 +167,7 @@ def max_of_independents(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     """
     if not dists:
         raise ValueError("need at least one distribution")
-    grid = sorted({v for d in dists for v in d.values()})
+    grid = value_grid(dists)
     cdfs = scaled_cdfs(dists, grid)
     den = prod(d for d, _ in cdfs)
     joint = [1] * len(grid)

@@ -11,12 +11,14 @@ The walk carries integer weights, each node's probability times the tree's
 scale (the product of the boxes' probability denominators), so enumeration
 adds and multiplies only ints, and it enforces the path guard (PathLimitError
 past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
-(box, observed value) for open selections, and builds each result's Fraction
-once from those sums.
+(box, rank of the observed value in the tree's value grid) for open
+selections, and builds each result's Fraction once from those sums, reading
+each value from the grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
@@ -52,14 +54,15 @@ def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
 def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     """Exact expectations from integer node weights (probability times
     tree.scale): per box, the weight of the nodes that inspect it and of the
-    paths that select it closed; per (box, observed value), the weight of the
-    paths that select it open.  Each field's Fraction is built once from
-    these sums, and E[I_i c_i] = c_i P(I_i)."""
+    paths that select it closed; per (box, grid rank of the observed value),
+    the weight of the paths that select it open.  Each field's Fraction is
+    built once from these sums, and E[I_i c_i] = c_i P(I_i)."""
     n = inst.n
     tree = PolicyTree(inst, pol)
+    grid = tree.grid
     inspected = [0] * n
     closed = [0] * n
-    opened: Dict[Tuple[int, Num], int] = {}
+    opened: Dict[Tuple[int, int], int] = {}  # (box, grid rank) -> weight
     paths = 0
     for node, weight in tree.walk():
         action = node.action
@@ -68,10 +71,13 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
             continue
         paths += 1
         if isinstance(action, SelectOpen):
-            # The selected box is nearly always the carried best one.
-            best = node.state.best
+            # The selected box is nearly always the carried best one, whose
+            # rank the node holds; another one's rank is looked up by value.
             i = action.box
-            key = best if best[0] == i else (i, dict(node.state.observed)[i])
+            if node.state.best[0] == i:
+                key = (i, node.rank)
+            else:
+                key = (i, bisect_left(grid, dict(node.state.observed)[i]))
             opened[key] = opened.get(key, 0) + weight
         elif not isinstance(action, Halt):
             closed[action.box] += weight
@@ -81,7 +87,8 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     selected = list(closed)
     value = [w * ev for w, ev in zip(closed, prof.expected_values)]
     amortized = list(value)
-    for (i, v), w in opened.items():
+    for (i, r), w in opened.items():
+        v = grid[r]
         selected[i] += w
         value[i] += w * v
         amortized[i] += w * min(v, prof.sigmas[i])

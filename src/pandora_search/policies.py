@@ -17,8 +17,11 @@ PolicyTree is the one engine that executes policies: one depth-first
 traversal builds each reached node once and splits the weight it carries at
 each inspecting node, integer probabilities for exact evaluation and sampled
 outcomes for the simulator.  The tree converts the instance's probabilities
-and costs to integers once, by core.scaled, and its traversal is where the
-path guard (PathLimitError) counts terminal nodes against PATH_LIMIT.
+and costs to integers once, by core.scaled, ranks every support value in the
+instance's sorted value grid (core.value_grid) so that each node carries the
+rank of its best value, and its traversal is where the path guard
+(PathLimitError) counts terminal nodes against PATH_LIMIT.  CommittingPolicy
+runs its stop test best >= sigma as an integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import prod
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, Num, SizeGuardError, scaled
+from .core import Instance, Num, SizeGuardError, scaled, value_grid
 from . import reservation
 
 PATH_LIMIT = 10_000_000
@@ -128,16 +131,18 @@ class Trace:
 class Node:
     """One information state reached by a policy: the observed sequence of
     (box, support index) pairs, held as the SearchState it produces, with the
-    policy's (checked) action there and the inspection cost paid to reach it,
-    in units of 1/PolicyTree.cost_scale.  A node is terminal when its action
-    is not an Inspect."""
+    policy's (checked) action there, the inspection cost paid to reach it, in
+    units of 1/PolicyTree.cost_scale, and the rank of the best observed value
+    in PolicyTree.grid (-1 while nothing is observed).  A node is terminal
+    when its action is not an Inspect."""
 
-    __slots__ = ("state", "action", "cost")
+    __slots__ = ("state", "action", "cost", "rank")
 
-    def __init__(self, state: SearchState, action: Action, cost: int):
+    def __init__(self, state: SearchState, action: Action, cost: int, rank: int):
         self.state = state
         self.action = action
         self.cost = cost
+        self.rank = rank
 
 
 class PolicyTree:
@@ -149,7 +154,9 @@ class PolicyTree:
     Probabilities and costs are scaled integers, converted once here by
     core.scaled.  With d_i the lcm of box i's probability denominators, a
     node's weight is its probability times scale = prod d_i; a node's cost is
-    its inspection cost times cost_scale, the lcm of the cost denominators."""
+    its inspection cost times cost_scale, the lcm of the cost denominators.
+    Values are ranks in grid, the sorted support values of every box
+    (core.value_grid), so the running best is a compare of ints."""
 
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
@@ -157,22 +164,26 @@ class PolicyTree:
         self.cost_scale, self._costs = scaled([box.cost for box in inst.boxes])
         self._probs = [scaled(box.dist.probs()) for box in inst.boxes]  # (d_i, p * d_i per value)
         self.scale = prod(d for d, _ in self._probs)
-        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0)
+        self.grid = value_grid(box.dist for box in inst.boxes)
+        rank = {v: r for r, v in enumerate(self.grid)}
+        self._support = [[(v, rank[v]) for v in box.dist.values()] for box in inst.boxes]
+        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0, -1)
 
-    def _node(self, state: SearchState, cost: int) -> Node:
+    def _node(self, state: SearchState, cost: int, rank: int) -> Node:
         action = self.policy.decide(state)
         check_legal(state, action)
-        return Node(state, action, cost)
+        return Node(state, action, cost, rank)
 
     def _expand(self, node: Node, k: int) -> Node:
         i = node.action.box
-        v = self.instance.boxes[i].dist.support[k][0]
+        v, rank = self._support[i][k]
         state = node.state
-        best = state.best
-        if best is None or v > best[1]:
+        if rank > node.rank:
             best = (i, v)
+        else:
+            best, rank = state.best, node.rank
         child = SearchState(state.observed + ((i, v),), state.uninspected - {i}, best)
-        return self._node(child, node.cost + self._costs[i])
+        return self._node(child, node.cost + self._costs[i], rank)
 
     def traverse(self, weight: Any, split: Callable) -> Iterator[Tuple[Node, Any]]:
         """Every reached node with the weight it carries, depth first from the
@@ -244,6 +255,7 @@ class CommittingPolicy(Policy):
         modified = reservation.modified_instance(inst, self.reservation_set)
         self.sigmas = reservation.profile(modified).sigmas
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
+        self._sigmas = [(s.numerator, s.denominator) for s in self.sigmas]
 
     def decide(self, state: SearchState) -> Action:
         # A loop: next() over a generator is slower than building the list.
@@ -253,8 +265,14 @@ class CommittingPolicy(Policy):
         else:
             nxt = None
         best = state.best_open()
-        if best is not None and (nxt is None or best[1] >= self.sigmas[nxt]):
-            return SelectOpen(best[0])
+        if best is not None:
+            if nxt is None:
+                return SelectOpen(best[0])
+            # best >= sigma as one integer cross-multiplication: ints and
+            # Fractions both have a positive denominator.
+            num, den = self._sigmas[nxt]
+            if best[1].numerator * den >= num * best[1].denominator:
+                return SelectOpen(best[0])
         if nxt is None:
             return Halt()
         if nxt in self.reservation_set:

@@ -14,7 +14,10 @@ of Generator.random() on the same stream, without converting words to doubles.
 Trials are drawn CHUNK at a time and folded into distinct joint outcomes (one
 support index per box) with their counts: by np.bincount over mixed-radix
 outcome ids, in one batch, when the joint support has at most
-OUTCOME_TABLE_LIMIT outcomes, else by a row-unique of each chunk.  The
+OUTCOME_TABLE_LIMIT outcomes, else one batch per chunk, by one np.lexsort of
+the chunk's digit columns and a split into runs of equal rows.  The sort
+works on the digits themselves, so it has no limit on the joint support (no
+outcome id has to fit in 64 bits).  The
 policy's execution tree (policies.PolicyTree) splits each batch's (outcome,
 count) pairs at each inspecting node, the report reduces the trials reaching
 each leaf over all batches, and memory holds one chunk and the leaves.
@@ -139,7 +142,17 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
         yield list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
     else:
         for digits in _draw_chunks(inst, trials, seed):
-            rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
+            # Rows in lexicographic order (lexsort's last key is its first),
+            # then one run per distinct row.
+            order = np.lexsort(digits[::-1])
+            digits = [d[order] for d in digits]
+            new_run = np.zeros(len(order), dtype=bool)
+            new_run[0] = True
+            for d in digits:
+                new_run[1:] |= d[1:] != d[:-1]
+            starts = np.flatnonzero(new_run)
+            counts = np.diff(starts, append=len(order))
+            rows = np.stack([d[starts] for d in digits], axis=1)
             yield list(zip(rows.tolist(), counts.tolist()))
 
 

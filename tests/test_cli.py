@@ -12,6 +12,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
+from pandora_search import cli
 from pandora_search.cli import (
     ONE_MINUS_INV_E_LB,
     InputError,
@@ -276,6 +277,14 @@ class TestExitCodes:
         out = tmp_path / "sw.csv"
         assert main(["sweep", "--random-batch", "2", "19", "3", "10", "19", "-o", str(out)]) == 3
         assert not out.exists()
+
+    def test_sweep_to_unwritable_path_fails_before_any_row(self, tmp_path, monkeypatch):
+        def no_row(inst):
+            raise AssertionError("a row was computed before -o was opened")
+
+        monkeypatch.setattr(cli, "_ratio_row", no_row)
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--random-batch", "2", "3", "3", "9", "0", "-o", str(out)]) == 2
 
     def test_unknown_policy(self, tight_file):
         assert main(["solve", tight_file, "--policy", "psychic"]) == 2

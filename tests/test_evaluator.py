@@ -335,3 +335,63 @@ class TestTieRule:
         pol = CallbackPolicy(decide)
         assert evaluate_exact(inst, pol).select_probs == (0, 1)
         assert simulate(inst, pol, trials=10, seed=0).select_freq == (0.0, 1.0)
+
+
+def worst_opened_policy(inst):
+    """Opens up to three boxes in index order, then selects the one holding
+    the smallest value (the last inspected among ties), so it selects an
+    opened box other than the best one whenever the values differ."""
+    def decide(state):
+        if state.uninspected and len(state.observed) < 3:
+            return Inspect(min(state.uninspected))
+        return SelectOpen(min(reversed(state.observed), key=lambda o: o[1])[0])
+    return CallbackPolicy(decide)
+
+
+class TestOpenSelectionKeys:
+    def test_selecting_an_opened_box_other_than_the_best(self):
+        not_best = 0
+        for inst in reference_instances():
+            pol = worst_opened_policy(inst)
+            res = evaluate_exact(inst, pol)
+            got = (res.utility, res.inspect_probs, res.select_probs, res.selected_value,
+                   res.inspection_cost, res.selected_amortized, res.path_count)
+            assert got == evaluate_fraction_reference(inst, pol), inst
+            not_best += sum(t.final.box != scanned_best(t.steps)[0] for t in iter_traces(inst, pol))
+        assert not_best > 0
+
+
+def fraction_decide(pol, state):
+    """CommittingPolicy.decide with its stop test as a Fraction compare,
+    best >= sigma of the next box in the policy's order."""
+    remaining = [i for i in pol.order if i in state.uninspected]
+    best = state.best_open()
+    if best is not None and (not remaining or best[1] >= pol.sigmas[remaining[0]]):
+        return SelectOpen(best[0])
+    if not remaining:
+        return Halt()
+    return SelectClosed(remaining[0]) if remaining[0] in pol.reservation_set else Inspect(remaining[0])
+
+
+class TestIntegerStopTest:
+    def test_matches_a_fraction_compare_on_hand_built_states(self):
+        # sigma_0 = 2, sigma_1 = -1 (its cost exceeds its mean), sigma_2 = 5/2
+        inst = Instance([Box(d((0, F(1, 2)), (4, F(1, 2))), 1),
+                         Box(d((1, 1)), 2),
+                         Box(d((1, F(1, 3)), (3, F(2, 3))), F(1, 3))])
+        assert profile(inst).sigmas == (2, -1, F(5, 2))
+        # ints and Fractions, on every sigma (ties) and on either side of it
+        values = [-1, 0, 2, 3, F(-1), F(2), F(5, 2), F(-8, 7), F(-6, 7), F(13, 7), F(15, 7), F(17, 7), F(18, 7)]
+        ties = 0
+        for s in [(), (0,), (1,), (2,)]:
+            pol = CommittingPolicy(inst, s)
+            for first in range(inst.n):
+                for second in [None, *(j for j in range(inst.n) if j != first)]:
+                    for v in values:
+                        for w in values if second is not None else [None]:
+                            observed = ((first, v),) if second is None else ((first, v), (second, w))
+                            state = SearchState(observed, frozenset(range(inst.n)) - {i for i, _ in observed})
+                            assert pol.decide(state) == fraction_decide(pol, state), (s, observed)
+                            nxt = next((i for i in pol.order if i in state.uninspected), None)
+                            ties += nxt is not None and state.best_open()[1] == pol.sigmas[nxt]
+        assert ties > 0

@@ -16,6 +16,8 @@ from pandora_search import (
     Inspect,
     Instance,
     PathLimitError,
+    SearchState,
+    SelectOpen,
     WeitzmanPolicy,
     evaluate_exact,
     random_instance,
@@ -190,12 +192,33 @@ def reference_case(case):
 
 @functools.lru_cache(maxsize=None)
 def per_trial_reference(case):
-    """The simulator as a per-trial loop: each box's whole stream drawn from
-    Philox(key=[seed, i]) by Generator.random at once, then run_once on every
-    trial.  run_once is deterministic, so its result is kept per joint
-    outcome."""
     inst, pol = reference_case(case)
-    trials, seed = REFERENCE_TRIALS, REFERENCE_SEED
+    return per_trial_loop(inst, pol, REFERENCE_TRIALS, REFERENCE_SEED, run_once)
+
+
+def run_by_decide(inst, pol, values):
+    """run_once without the execution tree: the policy decides on hand-built
+    states (best_open found by a scan) until it stops inspecting."""
+    state = SearchState((), frozenset(range(inst.n)))
+    cost = 0
+    action = pol.decide(state)
+    while isinstance(action, Inspect):
+        i = action.box
+        cost += inst.boxes[i].cost
+        state = SearchState(state.observed + ((i, values[i]),), state.uninspected - {i})
+        action = pol.decide(state)
+    inspected = tuple(int(i not in state.uninspected) for i in range(inst.n))
+    if isinstance(action, Halt):
+        return -cost, inspected, None
+    value = dict(state.observed)[action.box] if isinstance(action, SelectOpen) else values[action.box]
+    return value - cost, inspected, action.box
+
+
+def per_trial_loop(inst, pol, trials, seed, run):
+    """The simulator as a per-trial loop: each box's whole stream drawn from
+    Philox(key=[seed, i]) by Generator.random at once, then run (run_once or
+    run_by_decide) on every trial.  run is deterministic, so its result is
+    kept per joint outcome."""
     idx = np.empty((trials, inst.n), dtype=np.int64)
     for i, box in enumerate(inst.boxes):
         u = np.random.Generator(np.random.Philox(key=[seed, i])).random(trials)
@@ -206,7 +229,7 @@ def per_trial_reference(case):
     inspected = np.zeros(inst.n, dtype=np.int64)
     selected = np.zeros(inst.n, dtype=np.int64)
     execute = functools.lru_cache(maxsize=None)(
-        lambda ks: run_once(inst, pol, [supports[i][k] for i, k in enumerate(ks)]))
+        lambda ks: run(inst, pol, [supports[i][k] for i, k in enumerate(ks)]))
     for t, ks in enumerate(idx.tolist()):
         u, insp, chosen = execute(tuple(ks))
         utils[t] = float(u)
@@ -230,6 +253,47 @@ class TestAgainstPerTrialReference:
         rep = simulate(inst, pol, trials=REFERENCE_TRIALS, seed=REFERENCE_SEED)
         mean, std_error, inspect_freq, select_freq = per_trial_reference(case)
         assert rep.trials == REFERENCE_TRIALS
+        assert rep.inspect_freq == inspect_freq
+        assert rep.select_freq == select_freq
+        assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
+        assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
+
+
+def row_unique(chunks):
+    """The fold as np.unique over each chunk's rows: (row, count) pairs in
+    lexicographic row order, one list per chunk."""
+    out = []
+    for digits in chunks:
+        rows, counts = np.unique(np.stack(digits, axis=1), axis=0, return_counts=True)
+        out.append(list(zip(rows.tolist(), counts.tolist())))
+    return out
+
+
+# 40 boxes of up to six support points: about 2**70 joint outcomes.
+WIDE = random_instance(40, 6, 20, seed=0)
+
+
+class TestLexsortFold:
+    @pytest.mark.parametrize("sizes", [(2,) * 12, (6,) * 8, (1, 3, 2, 5, 4), (6,) * 40])
+    def test_matches_row_unique_on_random_chunks(self, sizes, monkeypatch):
+        rng = np.random.default_rng(len(sizes))
+        chunks = [[rng.integers(0, s, m, dtype=np.uint8) for s in sizes] for m in (1, 2, 500, 5000)]
+        inst = Instance([Box(DiscreteDist((v, F(1, s)) for v in range(s)), 0) for s in sizes])
+        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", 0)
+        monkeypatch.setattr(sim, "_draw_chunks", lambda *args: iter(chunks))
+        assert list(sim._outcome_counts(inst, 0, 0)) == row_unique(chunks)
+
+    def test_matches_row_unique_past_an_int64_joint(self):
+        assert math.prod(WIDE.support_sizes()) > 2**63
+        trials = sim.CHUNK + 17
+        assert list(sim._outcome_counts(WIDE, trials, 0)) == row_unique(sim._draw_chunks(WIDE, trials, 0))
+
+    @pytest.mark.parametrize("trials", [2000, sim.CHUNK + 17])
+    def test_simulate_past_an_int64_joint_matches_per_trial_loop(self, trials):
+        # run_once builds a 40-box tree per trial; run_by_decide does not.
+        pol = WeitzmanPolicy(WIDE)
+        rep = simulate(WIDE, pol, trials=trials, seed=0)
+        mean, std_error, inspect_freq, select_freq = per_trial_loop(WIDE, pol, trials, 0, run_by_decide)
         assert rep.inspect_freq == inspect_freq
         assert rep.select_freq == select_freq
         assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
