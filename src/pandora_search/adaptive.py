@@ -32,8 +32,9 @@ entry is stored.
 
 Size guard: a state is one of 2^n masks and one of G + 1 best indices (the G
 distinct support values, or nothing observed), so at most 2^n (G + 1) states
-are solved; solve_dp raises SizeGuardError before solving any when that
-exceeds MAX_DP_STATES.
+are solved; check_state_bound, which solve_dp and the CLI's ratio rows call
+first, raises SizeGuardError before any state is solved when that exceeds
+MAX_DP_STATES.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import Instance, Num, SizeGuardError, scaled, value_grid
 from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
@@ -63,6 +64,16 @@ class DPSolution:
     table: Dict[DPState, Tuple[AbstractAction, Num]]
 
 
+def check_state_bound(inst: Instance) -> List[Num]:
+    """Raise SizeGuardError when the DP's state bound 2^n (G + 1) exceeds
+    MAX_DP_STATES; otherwise return the instance's value grid of G points."""
+    grid = value_grid(box.dist for box in inst.boxes)
+    bound = (1 << inst.n) * (len(grid) + 1)
+    if bound > MAX_DP_STATES:
+        raise SizeGuardError(f"DP state bound 2^{inst.n} * {len(grid) + 1} = {bound} exceeds {MAX_DP_STATES}")
+    return grid
+
+
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     if variant not in (NONOBLIGATORY, REQUIRED):
         raise ValueError(f"unknown variant {variant!r}")
@@ -70,10 +81,7 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    grid = value_grid(box.dist for box in boxes)
-    bound = (1 << n) * (len(grid) + 1)
-    if bound > MAX_DP_STATES:
-        raise SizeGuardError(f"DP state bound 2^{n} * {len(grid) + 1} = {bound} exceeds {MAX_DP_STATES}")
+    grid = check_state_bound(inst)
     index = {v: k for k, v in enumerate(grid)}
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]

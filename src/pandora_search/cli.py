@@ -200,8 +200,12 @@ def cmd_solve(args) -> int:
 
 
 def _ratio_row(inst: Instance):
-    dp = adaptive.solve_dp(inst).value
-    bc = committing.best_committing(inst).best_value
+    # Guard first, so an instance past the DP's bound exits 3 either way.
+    # Where best committing meets the coupling bound it is the optimum.
+    adaptive.check_state_bound(inst)
+    sol = committing.best_committing(inst)
+    bc = sol.best_value
+    dp = bc if bc == sol.upper_bound else adaptive.solve_dp(inst).value
     ratio = bc / dp if dp != 0 else Fraction(1)
     return dp, bc, ratio
 

@@ -27,6 +27,7 @@ class CommittingSolution:
     candidate_values: Tuple[Tuple[FrozenSet[int], Num], ...]
     baseline_policy_a: Num  # Weitzman value, E[max kappa]
     baseline_policy_b: Num  # best closed box, max_i E[v_i]
+    upper_bound: Num  # E[max(max_i E[v_i], max_j kappa_j)], above every policy's value
 
 
 def best_committing(inst: Instance) -> CommittingSolution:
@@ -41,6 +42,11 @@ def best_committing(inst: Instance) -> CommittingSolution:
     integers: each F_j scaled by its probability denominator d_j (see
     core.scaled_cdfs), and grid values and e_i together by core.scaled.
     O(n G) products for a grid of G points.
+
+    upper_bound is the paper's coupling bound E[max(max_i e_i, max_j kappa_j)]:
+    every policy's u_phi lies below it pointwise, so
+    best_value <= optimum <= upper_bound, and where the two meet best_value is
+    the optimum.  It is one more E[max] on suffix[0], the CDF of max_j kappa_j.
     """
     prof = reservation.profile(inst)
     evs = prof.expected_values
@@ -83,4 +89,6 @@ def best_committing(inst: Instance) -> CommittingSolution:
         candidate_values=tuple(values),
         baseline_policy_a=values[0][1],
         baseline_policy_b=max(evs),
+        # max_i e_i >= E[kappa_i] >= the grid minimum, as expected_max needs
+        upper_bound=expected_max(max(evs_scaled), suffix[0], total_den),
     )

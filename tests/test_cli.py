@@ -6,13 +6,15 @@ import pytest
 from pandora_search import (
     REQUIRED,
     CommittingPolicy,
+    SizeGuardError,
     best_committing,
     dp_policy,
+    random_instance,
     simulate,
     solve_dp,
     tight_example,
 )
-from pandora_search import cli
+from pandora_search import adaptive, cli
 from pandora_search.cli import (
     ONE_MINUS_INV_E_LB,
     InputError,
@@ -299,3 +301,52 @@ class TestExitCodes:
         out = tmp_path / "r19.json"
         assert main(["gen", "--random", "19", "3", "10", "1", "19", "-o", str(out)]) == 0
         assert main(["ratio", str(out)]) == 3
+
+
+class DPSolved(Exception):
+    pass
+
+
+class TestCertifiedRatio:
+    """ratio and sweep take the optimum from best committing where it meets
+    the coupling bound, and solve the DP only elsewhere."""
+
+    @pytest.fixture
+    def no_dp(self, monkeypatch):
+        def solve_dp_raises(inst, variant=adaptive.NONOBLIGATORY):
+            raise DPSolved
+
+        monkeypatch.setattr(adaptive, "solve_dp", solve_dp_raises)
+
+    @pytest.fixture
+    def certified_file(self, tmp_path):
+        inst = random_instance(5, 4, 10, seed=1)
+        sol = best_committing(inst)
+        assert sol.best_value == sol.upper_bound == solve_dp(inst).value == F(82, 13)
+        path = tmp_path / "certified.json"
+        write_instance(inst, str(path))
+        return str(path)
+
+    def test_certified_instance_needs_no_dp(self, certified_file, no_dp, capsys):
+        assert main(["ratio", certified_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["dp"], doc["best_committing"], doc["ratio"]) == ("82/13", "82/13", "1")
+
+    def test_sweep_of_a_certified_instance_needs_no_dp(self, no_dp, capsys):
+        assert main(["sweep", "--random-batch", "1", "5", "4", "10", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "random-1,5,82/13,82/13,1,1"
+
+    def test_tight_example_solves_the_dp(self, tight_file, no_dp):
+        with pytest.raises(DPSolved):
+            main(["ratio", tight_file])
+
+    @pytest.mark.parametrize("seed", [19, 20])
+    def test_guard_tests_use_certified_instances(self, seed):
+        # The 19-box instances of test_dp_state_bound_exit_code (seed 19) and
+        # test_sweep_guard_leaves_no_partial_output (seeds 19, 20) are
+        # certified, so their exit code 3 shows that the guard runs first.
+        inst = random_instance(19, 3, 10, seed=seed)
+        sol = best_committing(inst)
+        assert sol.best_value == sol.upper_bound
+        with pytest.raises(SizeGuardError):
+            adaptive.check_state_bound(inst)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pandora_search import (
     Box,
@@ -11,6 +12,7 @@ from pandora_search import (
     best_committing,
     evaluate_exact,
     evaluate_nonexposed_closed_form,
+    max_of_independents,
     modified_instance,
     profile,
     random_instance,
@@ -146,3 +148,58 @@ class TestPairwiseDominance:
                 for s in combinations(range(inst.n), r):
                     val = evaluate_nonexposed_closed_form(inst, frozenset(s))
                     assert val <= sol.best_value, (inst, s)
+
+
+def coupling_oracle(inst):
+    """E[max(max_i E[v_i], max_j kappa_j)] as one max_of_independents."""
+    prof = profile(inst)
+    point = DiscreteDist.point(max(prof.expected_values))
+    return max_of_independents([*prof.kappa_dists, point]).expectation()
+
+
+def weighted_box(pairs, quarter_cost):
+    total = sum(w for _, w in pairs)
+    return Box(d(*((v, F(w, total)) for v, w in pairs)), F(quarter_cost, 4))
+
+
+# Nonnegative prizes on 0..10 with costs on a quarter grid up to 10, so a
+# cost above the mean (negative sigma) is common.
+drawn_boxes = st.builds(
+    weighted_box,
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 5)), min_size=1, max_size=3),
+    st.integers(0, 40),
+)
+
+
+class TestCouplingBound:
+    """best_value <= optimum <= upper_bound, the paper's coupling bound, with
+    the optimum from the DP and the bound from an independent oracle; where
+    best_value == upper_bound (certified) the DP value equals both."""
+
+    def check(self, inst) -> bool:
+        sol = best_committing(inst)
+        assert sol.best_value <= solve_dp(inst).value <= sol.upper_bound, inst
+        assert sol.upper_bound == coupling_oracle(inst), inst
+        return sol.best_value == sol.upper_bound
+
+    @settings(deadline=None)
+    @given(st.lists(drawn_boxes, min_size=1, max_size=5).map(Instance))
+    def test_drawn_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("cost_scale_max", [1, 2])
+    def test_random_batch_up_to_six_boxes(self, cost_scale_max):
+        insts = [random_instance(1 + k % 6, 3, 10, seed=k, cost_scale_max=F(cost_scale_max))
+                 for k in range(200)]
+        certified = [self.check(inst) for inst in insts]
+        assert any(certified) and not all(certified)
+        if cost_scale_max == 2:
+            assert any(s < 0 for inst in insts for s in profile(inst).sigmas)
+
+    def test_both_paths_occur_on_the_criterion_batch(self):
+        certified = [self.check(inst) for inst in random_batch(500, 4, 3, seed0=2000)]
+        assert 0 < sum(certified) < len(certified)
+
+    @pytest.mark.parametrize("big_n", [2, 3, 10, 1000])
+    def test_tight_example_is_never_certified(self, big_n):
+        assert not self.check(tight_example(big_n))

@@ -5,6 +5,7 @@ import pytest
 
 from pandora_search import (
     CallbackPolicy,
+    CommittingPolicy,
     DiscreteDist,
     Halt,
     WeitzmanPolicy,
@@ -106,6 +107,17 @@ class TestPhiBound:
                 u_pi, u_phi = phi_value_bound(inst, pol)
                 assert u_phi >= u_pi, inst
                 assert u_pi == evaluate_exact(inst, pol).utility
+
+    def test_coupling_bound_caps_u_phi_on_the_criterion_batch(self):
+        # u_pi <= u_phi <= E[max(max_i E[v_i], max_j kappa_j)] = upper_bound:
+        # the bound best_committing certifies the optimum with
+        for inst in random_batch(500, 4, 3, seed0=2000):
+            ub = best_committing(inst).upper_bound
+            policies = [dp_policy(solve_dp(inst)), WeitzmanPolicy(inst), CallbackPolicy(lambda s: Halt())]
+            policies += [CommittingPolicy(inst, {i}) for i in range(inst.n)]
+            for pol in policies:
+                u_pi, u_phi = phi_value_bound(inst, pol)
+                assert u_pi <= u_phi <= ub, (inst, pol)
 
 
 def brute_multilinear(prob, y):
