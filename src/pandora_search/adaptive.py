@@ -15,26 +15,21 @@ Deterministic tie-breaking: stopping (halt or select best open) beats a
 closed selection beats an inspection; within a class the lowest box index
 wins.
 
-The recursion runs on integers.  A state is one int id: the uninspected
-set U as a bitmask and the index of the best observed value in the sorted
-grid of all support values (-1 while nothing is observed), so equal values of
-different boxes share an index and the running best is a max of indices.
-Let d_i be the common denominator of box i's probabilities and L the lcm of
-the denominators of every support value, cost and mean (core.scaled gives
-both).  The value of a state is an integer once multiplied by
-L * prod_{i in U} d_i, so inspecting i scores
--c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every candidate
-compare is an integer compare.  The memo is checked where the
-inspect loop reads a successor, so a state already solved costs no call.
+The recursion runs on the instance's integer form (core.IntegerForm): a
+state is one int id, of U as a bitmask (one of 2^n) and the grid rank of the
+best observed value (one of G + 1, -1 while nothing is observed).  With L the
+lcm of the denominators of every support value, cost and mean (core.scaled),
+the value of a state is an integer once multiplied by L * prod_{i in U} d_i,
+so inspecting i scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'),
+and every candidate compare is an integer compare.  The memo is checked where
+the inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
 entry is stored.
 
-Size guard: a state is one of 2^n masks and one of G + 1 best indices (the G
-distinct support values, or nothing observed), so at most 2^n (G + 1) states
-are solved; check_state_bound, which solve_dp and the CLI's ratio rows call
-first, raises SizeGuardError before any state is solved when that exceeds
-MAX_DP_STATES.
+Size guard: check_state_bound, which solve_dp and the CLI's ratio rows call
+first, raises SizeGuardError before any state is solved when the state bound
+2^n (G + 1) exceeds MAX_DP_STATES.
 """
 
 from __future__ import annotations
@@ -42,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, scaled, value_grid
+from .core import Instance, Num, SizeGuardError, scaled
 from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
                        SelectOpen)
 
@@ -64,14 +59,13 @@ class DPSolution:
     table: Dict[DPState, Tuple[AbstractAction, Num]]
 
 
-def check_state_bound(inst: Instance) -> List[Num]:
+def check_state_bound(inst: Instance) -> None:
     """Raise SizeGuardError when the DP's state bound 2^n (G + 1) exceeds
-    MAX_DP_STATES; otherwise return the instance's value grid of G points."""
-    grid = value_grid(box.dist for box in inst.boxes)
-    bound = (1 << inst.n) * (len(grid) + 1)
+    MAX_DP_STATES, G the size of the instance's value grid."""
+    width = len(inst.form.grid) + 1
+    bound = (1 << inst.n) * width
     if bound > MAX_DP_STATES:
-        raise SizeGuardError(f"DP state bound 2^{inst.n} * {len(grid) + 1} = {bound} exceeds {MAX_DP_STATES}")
-    return grid
+        raise SizeGuardError(f"DP state bound 2^{inst.n} * {width} = {bound} exceeds {MAX_DP_STATES}")
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
@@ -81,19 +75,12 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    grid = check_state_bound(inst)
-    index = {v: k for k, v in enumerate(grid)}
+    check_state_bound(inst)
+    grid, ranked = inst.form.grid, inst.form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]
     scale, ints = scaled([*grid, *means, *costs])
     grid_scaled, mean_scaled, cost_scaled = ints[:len(grid)], ints[len(grid):-n], ints[-n:]
-    dens = []
-    branches = []  # per box: (grid index, p * d_i)
-    for box in boxes:
-        support = box.dist.support
-        d, weights = scaled([p for _, p in support])
-        dens.append(d)
-        branches.append(tuple((index[v], w) for (v, _), w in zip(support, weights)))
 
     width = len(grid) + 1  # state id: mask * width + best + 1
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
@@ -123,11 +110,12 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
             rest = mask ^ (1 << i)
             base = rest * width + 1
             cont = -cost_scaled[i] * weight
-            for v, w in branches[i]:
+            d, branches = ranked[i]
+            for v, w in branches:
                 nb = v if v > best else best
                 sub = memo.get(base + nb)
                 if sub is None:
-                    sub = value(rest, nb, weight // dens[i])
+                    sub = value(rest, nb, weight // d)
                 cont += w * sub
             if top is None or cont > top:
                 top, action = cont, ("inspect", i)
@@ -137,7 +125,7 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
         table[(uninspected, grid[best] if best >= 0 else None)] = (action, Fraction(top, scale * weight))
         return top
 
-    value((1 << n) - 1, -1, prod(dens))
+    value((1 << n) - 1, -1, prod(d for d, _ in ranked))
     return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table)
 
 

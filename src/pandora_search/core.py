@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, List, Sequence, Tuple
 
@@ -121,17 +122,14 @@ def scaled(xs: Sequence[Num]) -> Tuple[int, List[int]]:
     """(scale, ints): the lcm of the denominators of xs, and each x times it.
 
     This is the one conversion from Fractions (or ints) to the integers that
-    the exact kernels compute on: scaled_cdfs, adaptive.solve_dp,
-    committing.best_committing and policies.PolicyTree."""
+    the exact kernels compute on."""
     dens = [x.denominator for x in xs]
     scale = lcm(*dens)
     return scale, [x.numerator * (scale // d) for x, d in zip(xs, dens)]
 
 
 def value_grid(dists: Iterable[DiscreteDist]) -> List[Num]:
-    """The sorted distinct support values of dists: the grid whose ranks
-    index values in solve_dp, max_of_independents, best_committing and
-    policies.PolicyTree."""
+    """The sorted distinct support values of dists, whose ranks index values."""
     return sorted({v for d in dists for v in d.values()})
 
 
@@ -195,6 +193,31 @@ class Box:
             raise ValueError(f"inspection cost must be nonnegative, got {self.cost}")
 
 
+class IntegerForm:
+    """An instance as the integers that adaptive.solve_dp and
+    policies.PolicyTree compute on, built once per instance (Instance.form).
+
+    grid is the sorted distinct support values of every box (value_grid): a
+    value is its rank there, equal values of different boxes share a rank,
+    and a running best is a max of ranks.  boxes holds, per box, d_i, the lcm
+    of its probability denominators (scaled), and its support in order as
+    (rank, p * d_i) pairs; it is built on first use, since the DP's state
+    guard reads only len(grid)."""
+
+    def __init__(self, inst: "Instance"):
+        self._dists = [box.dist for box in inst.boxes]
+        self.grid = value_grid(self._dists)
+
+    @cached_property
+    def boxes(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+        rank = {v: r for r, v in enumerate(self.grid)}
+        out = []
+        for dist in self._dists:
+            d, weights = scaled(dist.probs())
+            out.append((d, tuple((rank[v], w) for v, w in zip(dist.values(), weights))))
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A search problem: n boxes with nonnegative prize values."""
@@ -213,6 +236,8 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.boxes)
+
+    form = cached_property(IntegerForm)  # built on first use and kept: an Instance is immutable
 
     def support_sizes(self) -> Tuple[int, ...]:
         return tuple(len(b.dist.support) for b in self.boxes)

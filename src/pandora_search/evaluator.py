@@ -59,7 +59,7 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     built once from these sums, and E[I_i c_i] = c_i P(I_i)."""
     n = inst.n
     tree = PolicyTree(inst, pol)
-    grid = tree.grid
+    grid = inst.form.grid
     inspected = [0] * n
     closed = [0] * n
     opened: Dict[Tuple[int, int], int] = {}  # (box, grid rank) -> weight

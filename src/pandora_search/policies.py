@@ -13,15 +13,11 @@ inspected first, and among equal observed values the box inspected earliest
 is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
 which only constrains values strictly above sigma.
 
-PolicyTree is the one engine that executes policies: one depth-first
-traversal builds each reached node once and splits the weight it carries at
-each inspecting node, integer probabilities for exact evaluation and sampled
-outcomes for the simulator.  The tree converts the instance's probabilities
-and costs to integers once, by core.scaled, ranks every support value in the
-instance's sorted value grid (core.value_grid) so that each node carries the
-rank of its best value, and its traversal is where the path guard
-(PathLimitError) counts terminal nodes against PATH_LIMIT.  CommittingPolicy
-runs its stop test best >= sigma as an integer cross-multiplication.
+PolicyTree is the one engine that executes policies, on the instance's
+integer form (core.IntegerForm): one depth-first traversal builds each reached
+node once, splits the weight it carries at each inspecting node (integer
+probabilities for exact evaluation, sampled outcomes for the simulator) and
+counts terminal nodes against PATH_LIMIT (PathLimitError).
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from fractions import Fraction
 from math import prod
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, Num, SizeGuardError, scaled, value_grid
+from .core import Instance, Num, SizeGuardError, scaled
 from . import reservation
 
 PATH_LIMIT = 10_000_000
@@ -131,10 +127,10 @@ class Trace:
 class Node:
     """One information state reached by a policy: the observed sequence of
     (box, support index) pairs, held as the SearchState it produces, with the
-    policy's (checked) action there, the inspection cost paid to reach it, in
-    units of 1/PolicyTree.cost_scale, and the rank of the best observed value
-    in PolicyTree.grid (-1 while nothing is observed).  A node is terminal
-    when its action is not an Inspect."""
+    policy's (checked) action there, the inspection cost paid to reach it
+    times PolicyTree.cost_scale (the lcm of the cost denominators), and the
+    grid rank of the best observed value (-1 while nothing is observed).  A
+    node is terminal when its action is not an Inspect."""
 
     __slots__ = ("state", "action", "cost", "rank")
 
@@ -151,22 +147,16 @@ class PolicyTree:
     when the node is built, and an illegal action raises IllegalActionError
     there.
 
-    Probabilities and costs are scaled integers, converted once here by
-    core.scaled.  With d_i the lcm of box i's probability denominators, a
-    node's weight is its probability times scale = prod d_i; a node's cost is
-    its inspection cost times cost_scale, the lcm of the cost denominators.
-    Values are ranks in grid, the sorted support values of every box
-    (core.value_grid), so the running best is a compare of ints."""
+    Probabilities and values come from the instance's integer form; a node's
+    weight is its probability times scale = prod d_i."""
 
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
         self.policy = pol
+        self.form = inst.form
+        self._grid, self._boxes = self.form.grid, self.form.boxes  # read at every node
         self.cost_scale, self._costs = scaled([box.cost for box in inst.boxes])
-        self._probs = [scaled(box.dist.probs()) for box in inst.boxes]  # (d_i, p * d_i per value)
-        self.scale = prod(d for d, _ in self._probs)
-        self.grid = value_grid(box.dist for box in inst.boxes)
-        rank = {v: r for r, v in enumerate(self.grid)}
-        self._support = [[(v, rank[v]) for v in box.dist.values()] for box in inst.boxes]
+        self.scale = prod(d for d, _ in self._boxes)
         self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0, -1)
 
     def _node(self, state: SearchState, cost: int, rank: int) -> Node:
@@ -176,7 +166,8 @@ class PolicyTree:
 
     def _expand(self, node: Node, k: int) -> Node:
         i = node.action.box
-        v, rank = self._support[i][k]
+        rank = self._boxes[i][1][k][0]
+        v = self._grid[rank]
         state = node.state
         if rank > node.rank:
             best = (i, v)
@@ -210,9 +201,9 @@ class PolicyTree:
         with children in support order.  A child's weight is its parent's
         // d_i * (p * d_i), so the walk only multiplies integers."""
         def split(i, weight):
-            d, weights = self._probs[i]
+            d, pairs = self._boxes[i]
             child_weight = weight // d
-            return [(k, child_weight * pd) for k, pd in enumerate(weights)]
+            return [(k, child_weight * pd) for k, (_, pd) in enumerate(pairs)]
 
         return self.traverse(self.scale, split)
 

@@ -6,8 +6,8 @@ E[(v - sigma)^+] = c.  The map sigma -> E[(v - sigma)^+] is piecewise linear,
 continuous and nonincreasing, so we solve by scanning support pieces from the
 top.  Two edge conventions:
 
-* c = 0: every sigma >= max support solves the equation; we define sigma as
-  the max support value, which makes kappa = v.
+* c = 0: every sigma >= max support solves the equation; sigma is the max
+  support value, as the scan's first piece p v_max / p gives, so kappa = v.
 * c >= E[v]: the solution lies in the linear region below the support minimum,
   sigma = E[v] - c, and may be negative.  No clamping is applied.
 """
@@ -23,11 +23,7 @@ from .core import Box, DiscreteDist, Instance, Num
 def reservation_value(box: Box) -> Num:
     """Solve E[(v - sigma)^+] = cost for sigma."""
     c = box.cost
-    if c < 0:
-        raise ValueError("inspection cost must be nonnegative")
     support = box.dist.support
-    if c == 0:
-        return support[-1][0]
     tail_p = 0
     tail_s = 0
     # On [low, v_i) with tail = {values >= v_i}: excess(s) = tail_s - s * tail_p.

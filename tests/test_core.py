@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pandora_search import Box, DiscreteDist, Instance, max_of_independents
-from pandora_search.core import InvalidDistributionError, scaled
+from pandora_search import (Box, DiscreteDist, Instance, adaptive, cli, committing, core, evaluator,
+                            max_of_independents, policies, random_instance, simulator, tight_example)
+from pandora_search.core import InvalidDistributionError, scaled, value_grid
 
 
 def d(*pairs):
@@ -145,3 +147,58 @@ class TestInstance:
         inst = Instance([Box(COIN, 0), Box(LONGSHOT, F(9, 20))])
         assert inst.n == 2
         assert inst.support_sizes() == (2, 2)
+
+
+class TestIntegerForm:
+    def test_grid_ranks_and_scaled_probabilities(self):
+        for seed in range(20):
+            inst = random_instance(1 + seed % 6, 4, 10, seed=seed, cost_scale_max=F(2))
+            form = inst.form
+            assert form.grid == sorted({v for box in inst.boxes for v in box.dist.values()})
+            assert len(form.boxes) == inst.n
+            for box, (den, pairs) in zip(inst.boxes, form.boxes):
+                assert den == lcm(*(p.denominator for p in box.dist.probs()))
+                assert [(form.grid[r], F(w, den)) for r, w in pairs] == list(box.dist.support)
+
+    def test_equal_values_of_different_boxes_share_a_rank(self):
+        form = Instance([Box(COIN, 0), Box(d((1, F(1, 3)), (5, F(2, 3))), 0)]).form
+        assert form.grid == [0, 1, 5]
+        assert form.boxes == ((2, ((0, 1), (1, 1))), (3, ((1, 1), (2, 2))))
+
+    def test_value_grid_is_built_once_per_instance(self, monkeypatch):
+        # The ratio row of tight_example(10) is not certified, so it reaches
+        # solve_dp; the table policy is then evaluated and simulated.
+        inst = tight_example(10)
+        dists = [box.dist for box in inst.boxes]
+        builds = []
+
+        def counting(ds):
+            ds = list(ds)
+            if len(ds) == len(dists) and all(a is b for a, b in zip(ds, dists)):
+                builds.append(ds)
+            return value_grid(ds)
+
+        for module in (core, adaptive, policies):
+            if hasattr(module, "value_grid"):
+                monkeypatch.setattr(module, "value_grid", counting)
+        dp, bc, _ = cli._ratio_row(inst)
+        assert bc < dp
+        pol = adaptive.dp_policy(adaptive.solve_dp(inst))
+        assert evaluator.evaluate_exact(inst, pol).utility == dp
+        simulator.simulate(inst, pol, 1000, 0)
+        assert len(builds) == 1
+
+    def test_trees_of_one_instance_share_its_form(self):
+        inst = random_instance(40, 6, 20, seed=0)
+        first = policies.PolicyTree(inst, policies.WeitzmanPolicy(inst))
+        second = policies.PolicyTree(inst, policies.CommittingPolicy(inst, {0}))
+        assert first.form is second.form is inst.form
+
+    def test_certified_ratio_row_builds_only_the_grid(self):
+        # The DP's state guard reads only the grid's size, so a row that
+        # best committing certifies never scales a box's probabilities.
+        inst = random_instance(3, 4, 10, seed=7)
+        sol = committing.best_committing(inst)
+        assert sol.best_value == sol.upper_bound
+        cli._ratio_row(inst)
+        assert "boxes" not in vars(inst.form)

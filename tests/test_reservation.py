@@ -32,6 +32,14 @@ class TestReservationValue:
     def test_zero_cost_gives_max_support(self):
         assert reservation_value(Box(d((0, F(1, 2)), (1, F(1, 2))), 0)) == 1
 
+    def test_zero_cost_scan_gives_max_support_on_random_boxes(self):
+        # No branch for c = 0: the scan's first piece is p v_max / p.
+        for seed in range(40):
+            for box in random_instance(3, 5, 12, seed=seed).boxes:
+                sigma = reservation_value(Box(box.dist, 0))
+                assert sigma == box.dist.max_value()
+                assert type(sigma) is F
+
     def test_point_mass(self):
         assert reservation_value(Box(d((4, 1)), 1)) == 3
 
