@@ -27,9 +27,9 @@ The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
 entry is stored.
 
-Size guard: check_state_bound, which solve_dp and the CLI's ratio rows call
-first, raises SizeGuardError before any state is solved when the state bound
-2^n (G + 1) exceeds MAX_DP_STATES.
+Size guard: solve_dp raises SizeGuardError before any state is solved when
+the state bound 2^n (G + 1), G the size of the value grid, exceeds
+MAX_DP_STATES.
 """
 
 from __future__ import annotations
@@ -59,15 +59,6 @@ class DPSolution:
     table: Dict[DPState, Tuple[AbstractAction, Num]]
 
 
-def check_state_bound(inst: Instance) -> None:
-    """Raise SizeGuardError when the DP's state bound 2^n (G + 1) exceeds
-    MAX_DP_STATES, G the size of the instance's value grid."""
-    width = len(inst.form.grid) + 1
-    bound = (1 << inst.n) * width
-    if bound > MAX_DP_STATES:
-        raise SizeGuardError(f"DP state bound 2^{inst.n} * {width} = {bound} exceeds {MAX_DP_STATES}")
-
-
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     if variant not in (NONOBLIGATORY, REQUIRED):
         raise ValueError(f"unknown variant {variant!r}")
@@ -75,14 +66,16 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    check_state_bound(inst)
     grid, ranked = inst.form.grid, inst.form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
+    width = len(grid) + 1  # state id: mask * width + best + 1
+    bound = (1 << n) * width
+    if bound > MAX_DP_STATES:
+        raise SizeGuardError(f"DP state bound 2^{n} * {width} = {bound} exceeds {MAX_DP_STATES}")
     means = [box.dist.expectation() for box in boxes]
     costs = [box.cost for box in boxes]
     scale, ints = scaled([*grid, *means, *costs])
     grid_scaled, mean_scaled, cost_scaled = ints[:len(grid)], ints[len(grid):-n], ints[-n:]
 
-    width = len(grid) + 1  # state id: mask * width + best + 1
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
     memo: Dict[int, int] = {}
     sets: Dict[int, Tuple[FrozenSet[int], Tuple[int, ...]]] = {}  # mask -> (set, members)

@@ -201,21 +201,17 @@ class IntegerForm:
     value is its rank there, equal values of different boxes share a rank,
     and a running best is a max of ranks.  boxes holds, per box, d_i, the lcm
     of its probability denominators (scaled), and its support in order as
-    (rank, p * d_i) pairs; it is built on first use, since the DP's state
-    guard reads only len(grid)."""
+    (rank, p * d_i) pairs."""
 
     def __init__(self, inst: "Instance"):
-        self._dists = [box.dist for box in inst.boxes]
-        self.grid = value_grid(self._dists)
-
-    @cached_property
-    def boxes(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+        dists = [box.dist for box in inst.boxes]
+        self.grid = value_grid(dists)
         rank = {v: r for r, v in enumerate(self.grid)}
-        out = []
-        for dist in self._dists:
+        boxes = []
+        for dist in dists:
             d, weights = scaled(dist.probs())
-            out.append((d, tuple((rank[v], w) for v, w in zip(dist.values(), weights))))
-        return tuple(out)
+            boxes.append((d, tuple((rank[v], w) for v, w in zip(dist.values(), weights))))
+        self.boxes: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(boxes)
 
 
 @dataclass(frozen=True)

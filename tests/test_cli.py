@@ -275,9 +275,10 @@ class TestExitCodes:
         assert main(["sweep", "--family", "tight", "--N-list", "2", "-o", str(out)]) == 2
 
     def test_sweep_guard_leaves_no_partial_output(self, tmp_path):
-        # The first 19-box instance is past the DP state bound.
+        # The first 19-box instance (seed 47) is not certified, so its row
+        # reaches the DP, which is past its state bound.
         out = tmp_path / "sw.csv"
-        assert main(["sweep", "--random-batch", "2", "19", "3", "10", "19", "-o", str(out)]) == 3
+        assert main(["sweep", "--random-batch", "2", "19", "3", "10", "47", "-o", str(out)]) == 3
         assert not out.exists()
 
     def test_sweep_to_unwritable_path_fails_before_any_row(self, tmp_path, monkeypatch):
@@ -296,11 +297,14 @@ class TestExitCodes:
         assert main(["gen", "--random", "25", "2", "9", "1", "0", "-o", str(out)]) == 0
         assert main(["solve", str(out), "--policy", "dp"]) == 3
 
-    def test_dp_state_bound_exit_code(self, tmp_path):
+    def test_dp_state_bound_exit_code(self, tmp_path, capsys):
         # 19 boxes: 2^19 * 12 = 6.29M states bound the DP, past MAX_DP_STATES.
-        out = tmp_path / "r19.json"
-        assert main(["gen", "--random", "19", "3", "10", "1", "19", "-o", str(out)]) == 0
+        # Seed 47 is not certified, so ratio reaches the DP.
+        out = tmp_path / "r47.json"
+        assert main(["gen", "--random", "19", "3", "10", "1", "47", "-o", str(out)]) == 0
+        capsys.readouterr()
         assert main(["ratio", str(out)]) == 3
+        assert "DP state bound 2^19 * 12 = 6291456 exceeds 4194304" in capsys.readouterr().err
 
 
 class DPSolved(Exception):
@@ -340,13 +344,26 @@ class TestCertifiedRatio:
         with pytest.raises(DPSolved):
             main(["ratio", tight_file])
 
-    @pytest.mark.parametrize("seed", [19, 20])
-    def test_guard_tests_use_certified_instances(self, seed):
-        # The 19-box instances of test_dp_state_bound_exit_code (seed 19) and
-        # test_sweep_guard_leaves_no_partial_output (seeds 19, 20) are
-        # certified, so their exit code 3 shows that the guard runs first.
-        inst = random_instance(19, 3, 10, seed=seed)
+    def test_guard_tests_use_an_uncertified_instance(self):
+        # Seed 47's 19-box instance, which test_dp_state_bound_exit_code and
+        # the first row of test_sweep_guard_leaves_no_partial_output use, is
+        # not certified, so their exit code 3 comes from the DP's own guard.
+        inst = random_instance(19, 3, 10, seed=47)
         sol = best_committing(inst)
-        assert sol.best_value == sol.upper_bound
+        assert sol.best_value < sol.upper_bound
         with pytest.raises(SizeGuardError):
-            adaptive.check_state_bound(inst)
+            solve_dp(inst)
+
+    def test_certified_rows_past_the_dp_bound_answer(self, no_dp, capsys):
+        # Seeds 19 and 20 are certified, so neither row reaches the DP,
+        # whose state bound 2^19 * 12 they exceed.
+        assert main(["sweep", "--random-batch", "2", "19", "3", "10", "19"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "random-19,19,9,9,1,1", "random-20,19,10,10,1,1"]
+
+    def test_certified_40_box_ratio_needs_no_dp(self, tmp_path, no_dp, capsys):
+        path = tmp_path / "wide.json"
+        write_instance(random_instance(40, 6, 20, seed=0), str(path))
+        assert main(["ratio", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dp"] == doc["best_committing"] == "2357/128"

@@ -194,11 +194,11 @@ class TestIntegerForm:
         second = policies.PolicyTree(inst, policies.CommittingPolicy(inst, {0}))
         assert first.form is second.form is inst.form
 
-    def test_certified_ratio_row_builds_only_the_grid(self):
-        # The DP's state guard reads only the grid's size, so a row that
-        # best committing certifies never scales a box's probabilities.
+    def test_certified_ratio_row_builds_no_form(self):
+        # A row that best committing certifies never reaches the DP, so it
+        # never builds the instance's integer form.
         inst = random_instance(3, 4, 10, seed=7)
         sol = committing.best_committing(inst)
         assert sol.best_value == sol.upper_bound
         cli._ratio_row(inst)
-        assert "boxes" not in vars(inst.form)
+        assert "form" not in vars(inst)
