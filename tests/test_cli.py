@@ -354,6 +354,17 @@ class TestCertifiedRatio:
         with pytest.raises(SizeGuardError):
             solve_dp(inst)
 
+    @pytest.mark.parametrize("seed", [19, 20])
+    def test_guard_tests_use_certified_instances(self, seed):
+        # The 19-box instances of test_certified_rows_past_the_dp_bound_answer
+        # (seeds 19, 20) are certified and past the DP's state bound, so that
+        # test's exit code 0 shows ratio does not run the DP's guard on them.
+        inst = random_instance(19, 3, 10, seed=seed)
+        sol = best_committing(inst)
+        assert sol.best_value == sol.upper_bound
+        with pytest.raises(SizeGuardError):
+            solve_dp(inst)
+
     def test_certified_rows_past_the_dp_bound_answer(self, no_dp, capsys):
         # Seeds 19 and 20 are certified, so neither row reaches the DP,
         # whose state bound 2^19 * 12 they exceed.
