@@ -15,14 +15,11 @@ Deterministic tie-breaking: stopping (halt or select best open) beats a
 closed selection beats an inspection; within a class the lowest box index
 wins.
 
-The recursion runs on the instance's integer form (core.IntegerForm): a
-state is one int id, of U as a bitmask (one of 2^n) and the grid rank of the
-best observed value (one of G + 1, -1 while nothing is observed).  With L the
-lcm of the denominators of every support value, cost and mean (core.scaled),
-the value of a state is an integer once multiplied by L * prod_{i in U} d_i,
-so inspecting i scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'),
-and every candidate compare is an integer compare.  The memo is checked where
-the inspect loop reads a successor, so a state already solved costs no call.
+The recursion runs on the instance's integer form (core.IntegerForm), so
+every candidate compare is an integer compare: a state is one int id, of U
+as a bitmask (one of 2^n) and the grid rank of the best observed value (one
+of G + 1, -1 while nothing is observed).  The memo is checked where the
+inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
 entry is stored.
@@ -36,10 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, Num, SizeGuardError, scaled
+from .core import Instance, Num, SizeGuardError
 from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
                        SelectOpen)
 
@@ -63,18 +59,15 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     if variant not in (NONOBLIGATORY, REQUIRED):
         raise ValueError(f"unknown variant {variant!r}")
 
-    boxes = inst.boxes
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
-    grid, ranked = inst.form.grid, inst.form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
+    form = inst.form
+    grid, ranked = form.grid, form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
     width = len(grid) + 1  # state id: mask * width + best + 1
     bound = (1 << n) * width
     if bound > MAX_DP_STATES:
         raise SizeGuardError(f"DP state bound 2^{n} * {width} = {bound} exceeds {MAX_DP_STATES}")
-    means = [box.dist.expectation() for box in boxes]
-    costs = [box.cost for box in boxes]
-    scale, ints = scaled([*grid, *means, *costs])
-    grid_scaled, mean_scaled, cost_scaled = ints[:len(grid)], ints[len(grid):-n], ints[-n:]
+    scale, grid_scaled, mean_scaled, cost_scaled = form.scale, form.values, form.means, form.costs
 
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
     memo: Dict[int, int] = {}
@@ -118,7 +111,7 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
         table[(uninspected, grid[best] if best >= 0 else None)] = (action, Fraction(top, scale * weight))
         return top
 
-    value((1 << n) - 1, -1, prod(d for d, _ in ranked))
+    value((1 << n) - 1, -1, form.weight)
     return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table)
 
 

@@ -201,7 +201,12 @@ class IntegerForm:
     value is its rank there, equal values of different boxes share a rank,
     and a running best is a max of ranks.  boxes holds, per box, d_i, the lcm
     of its probability denominators (scaled), and its support in order as
-    (rank, p * d_i) pairs."""
+    (rank, p * d_i) pairs; weight is prod_i d_i.  scale, L, is the lcm of the
+    denominators of every grid value, mean E[v_i] and cost, and values, means
+    and costs are those numbers times L.  So the value of a DP state (U, best)
+    is an integer once multiplied by L * prod_{i in U} d_i: inspecting i
+    scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every
+    candidate compare is an integer compare."""
 
     def __init__(self, inst: "Instance"):
         dists = [box.dist for box in inst.boxes]
@@ -212,6 +217,11 @@ class IntegerForm:
             d, weights = scaled(dist.probs())
             boxes.append((d, tuple((rank[v], w) for v, w in zip(dist.values(), weights))))
         self.boxes: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(boxes)
+        self.weight = prod(d for d, _ in boxes)
+        means = [dist.expectation() for dist in dists]
+        self.scale, ints = scaled([*self.grid, *means, *(box.cost for box in inst.boxes)])
+        g, n = len(self.grid), len(dists)
+        self.values, self.means, self.costs = ints[:g], ints[g:g + n], ints[g + n:]
 
 
 @dataclass(frozen=True)

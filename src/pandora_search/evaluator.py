@@ -82,16 +82,16 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
         elif not isinstance(action, Halt):
             closed[action.box] += weight
 
-    prof = reservation.profile(inst)
+    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
     scale = tree.scale
     selected = list(closed)
-    value = [w * ev for w, ev in zip(closed, prof.expected_values)]
+    value = [w * box.dist.expectation() for w, box in zip(closed, inst.boxes)]
     amortized = list(value)
     for (i, r), w in opened.items():
         v = grid[r]
         selected[i] += w
         value[i] += w * v
-        amortized[i] += w * min(v, prof.sigmas[i])
+        amortized[i] += w * min(v, sigmas[i])
     inspect_probs = tuple(Fraction(w, scale) for w in inspected)
     selected_value = tuple(Fraction(x) / scale for x in value)
     inspection_cost = tuple(box.cost * p for box, p in zip(inst.boxes, inspect_probs))

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, Num, SizeGuardError, scaled
+from .core import Instance, Num, SizeGuardError
 from . import reservation
 
 PATH_LIMIT = 10_000_000
@@ -128,9 +127,9 @@ class Node:
     """One information state reached by a policy: the observed sequence of
     (box, support index) pairs, held as the SearchState it produces, with the
     policy's (checked) action there, the inspection cost paid to reach it
-    times PolicyTree.cost_scale (the lcm of the cost denominators), and the
-    grid rank of the best observed value (-1 while nothing is observed).  A
-    node is terminal when its action is not an Inspect."""
+    times the integer form's scale (core.IntegerForm.scale), and the grid
+    rank of the best observed value (-1 while nothing is observed).  A node
+    is terminal when its action is not an Inspect."""
 
     __slots__ = ("state", "action", "cost", "rank")
 
@@ -147,16 +146,16 @@ class PolicyTree:
     when the node is built, and an illegal action raises IllegalActionError
     there.
 
-    Probabilities and values come from the instance's integer form; a node's
-    weight is its probability times scale = prod d_i."""
+    Probabilities, values and costs come from the instance's integer form;
+    a node's weight is its probability times scale = prod d_i (the form's
+    weight)."""
 
     def __init__(self, inst: Instance, pol: Policy):
         self.instance = inst
         self.policy = pol
-        self.form = inst.form
-        self._grid, self._boxes = self.form.grid, self.form.boxes  # read at every node
-        self.cost_scale, self._costs = scaled([box.cost for box in inst.boxes])
-        self.scale = prod(d for d, _ in self._boxes)
+        self.form = form = inst.form
+        self._grid, self._boxes, self._costs = form.grid, form.boxes, form.costs  # read at every node
+        self.scale = form.weight
         self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0, -1)
 
     def _node(self, state: SearchState, cost: int, rank: int) -> Node:
@@ -219,7 +218,7 @@ class PolicyTree:
             value = dist.expectation() if draw is None else dist.support[draw][0]
         else:
             value = 0
-        return value - Fraction(node.cost, self.cost_scale)
+        return value - Fraction(node.cost, self.form.scale)
 
 
 # --- concrete policies -----------------------------------------------------
@@ -233,18 +232,19 @@ class CommittingPolicy(Policy):
     """The optimal committing policy with a given reservation set S.
 
     Simulates Weitzman's policy on the modified instance where every box in S
-    becomes a zero-cost point mass at its mean; "inspecting" such a box is
-    realized as selecting it closed.  Inspection follows decreasing
-    (modified) reservation value, and the policy stops and selects the best
-    opened box once its value is >= every remaining sigma.
+    becomes a zero-cost point mass at its mean, so its sigma is E[v];
+    "inspecting" such a box is realized as selecting it closed.  Inspection
+    follows decreasing (modified) reservation value, and the policy stops and
+    selects the best opened box once its value is >= every remaining sigma.
     """
 
     def __init__(self, inst: Instance, reservation_set):
         self.reservation_set = frozenset(reservation_set)
         if not self.reservation_set <= set(range(inst.n)):
             raise ValueError("reservation set contains unknown box indices")
-        modified = reservation.modified_instance(inst, self.reservation_set)
-        self.sigmas = reservation.profile(modified).sigmas
+        self.sigmas = tuple(
+            box.dist.expectation() if i in self.reservation_set else reservation.reservation_value(box)
+            for i, box in enumerate(inst.boxes))
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
         self._sigmas = [(s.numerator, s.denominator) for s in self.sigmas]
 
@@ -264,8 +264,6 @@ class CommittingPolicy(Policy):
             num, den = self._sigmas[nxt]
             if best[1].numerator * den >= num * best[1].denominator:
                 return SelectOpen(best[0])
-        if nxt is None:
-            return Halt()
         if nxt in self.reservation_set:
             # Simulation "inspects" the point mass, sees E[v] = sigma, and
             # stops immediately; realized here as a closed selection.

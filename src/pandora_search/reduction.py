@@ -90,16 +90,14 @@ def phi_value_bound(inst: Instance, pol: Policy) -> Tuple[Num, Num]:
     """(u_pi, u_phi): the policy's exact utility and the value of its image
     in the associated problem under the kappa-coupling, u_phi = E[max kappa~].
     u_phi >= u_pi for every policy."""
-    prof = reservation.profile(inst)
+    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
+    means = [box.dist.expectation() for box in inst.boxes]
     u_pi = 0
     u_phi = 0
     for tr in iter_traces(inst, pol):
         u_pi += tr.probability * tr.utility
         opened = dict(tr.steps)
-        best = max(
-            min(opened[i], prof.sigmas[i]) if i in opened else prof.expected_values[i]
-            for i in range(inst.n)
-        )
+        best = max(min(opened[i], sigmas[i]) if i in opened else means[i] for i in range(inst.n))
         u_phi += tr.probability * best
     return u_pi, u_phi
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from pandora_search import Instance, random_instance
+from pandora_search import Instance, random_instance, reservation
 
 
 def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True):
@@ -39,3 +39,13 @@ def random_batch(count: int, n_max: int, max_support: int, value_max: int = 10, 
         n = (k % n_max) + 1
         out.append(random_instance(n, max_support, value_max, seed=seed0 + k))
     return out
+
+
+def forbid_kappa_laws(monkeypatch):
+    """Make reservation.profile and reservation.modified_instance raise, for
+    code that needs only sigma and E[v] per box."""
+    def forbidden(*args):
+        raise AssertionError("built the kappa laws or the modified instance")
+
+    monkeypatch.setattr(reservation, "profile", forbidden)
+    monkeypatch.setattr(reservation, "modified_instance", forbidden)

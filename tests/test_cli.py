@@ -258,6 +258,24 @@ class TestExitCodes:
         p.write_text(json.dumps({"boxes": boxes}))
         assert main(["profile", str(p)]) == 2
 
+    def test_truncated_json_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"boxes": [\n')
+        assert main(["profile", str(p)]) == 2
+        assert "invalid JSON at line 2" in capsys.readouterr().err
+
+    def test_negative_prize_value_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"boxes": [{"cost": "0", "support": [{"value": "-1", "prob": "1"}]}]}')
+        assert main(["profile", str(p)]) == 2
+        assert "box 0 has a negative prize value" in capsys.readouterr().err
+
+    def test_gen_tight_below_two_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["gen", "--tight", "1", "-o", str(out)]) == 2
+        assert "--tight needs N >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_zero_denominator_cost_scale_is_input_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["gen", "--random", "3", "4", "10", "1/0", "7", "-o", str(out)]) == 2

@@ -9,6 +9,7 @@ from pandora_search import (
     CommittingPolicy,
     DiscreteDist,
     Instance,
+    WeitzmanPolicy,
     best_committing,
     evaluate_exact,
     evaluate_nonexposed_closed_form,
@@ -19,7 +20,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
-from conftest import random_batch
+from conftest import forbid_kappa_laws, random_batch
 
 
 def d(*pairs):
@@ -37,6 +38,32 @@ class TestModifiedInstance:
     def test_empty_set_is_identity(self):
         inst = random_instance(3, 3, 9, seed=1)
         assert modified_instance(inst, frozenset()) == inst
+
+    def test_committing_sigmas_are_the_modified_instance_profile(self):
+        # The modified instance is the oracle: a reserved box's sigma is its
+        # mean, every other box keeps its own reservation value.
+        cases = [random_instance(n, 3, 10, seed=k, cost_scale_max=F(c))
+                 for n in range(1, 5) for c in (1, 2) for k in range(6)]
+        cases += [tight_example(big_n) for big_n in (2, 10, 1000)]
+        negative = False
+        for inst in cases:
+            for k in range(inst.n + 1):
+                for s in combinations(range(inst.n), k):
+                    expected = profile(modified_instance(inst, s)).sigmas
+                    pol = CommittingPolicy(inst, s)
+                    assert pol.sigmas == expected, (inst, s)
+                    assert pol.order == sorted(range(inst.n), key=lambda i: (-expected[i], i))
+                    negative = negative or min(expected) < 0
+        assert negative
+
+    @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
+    def test_committing_policies_build_no_modified_instance(self, inst, monkeypatch):
+        expected = {s: profile(modified_instance(inst, s)).sigmas
+                    for s in [(), (0,), (1,), (0, 1), tuple(range(inst.n))]}
+        forbid_kappa_laws(monkeypatch)
+        assert WeitzmanPolicy(inst).sigmas == expected[()]
+        for s, sigmas in expected.items():
+            assert CommittingPolicy(inst, s).sigmas == sigmas
 
 
 class TestBestCommitting:

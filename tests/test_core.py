@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -187,6 +187,36 @@ class TestIntegerForm:
         assert evaluator.evaluate_exact(inst, pol).utility == dp
         simulator.simulate(inst, pol, 1000, 0)
         assert len(builds) == 1
+
+    def test_scaled_values_means_and_costs(self):
+        cases = [random_instance(1 + seed % 6, 4, 10, seed=seed, cost_scale_max=F(2)) for seed in range(20)]
+        for inst in cases + [tight_example(10)]:
+            form = inst.form
+            means = [box.dist.expectation() for box in inst.boxes]
+            costs = [box.cost for box in inst.boxes]
+            assert form.scale == lcm(*(x.denominator for x in [*form.grid, *means, *costs]))
+            assert form.values == [v * form.scale for v in form.grid]
+            assert form.means == [m * form.scale for m in means]
+            assert form.costs == [c * form.scale for c in costs]
+            assert all(type(x) is int for x in [*form.values, *form.means, *form.costs])
+            assert form.weight == prod(den for den, _ in form.boxes)
+
+    @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
+    def test_dp_and_tree_scale_nothing_once_the_form_is_built(self, inst, monkeypatch):
+        inst.form
+        calls = []
+
+        def counting(xs):
+            calls.append(xs)
+            return scaled(xs)
+
+        for module in (core, adaptive, policies):
+            if hasattr(module, "scaled"):
+                monkeypatch.setattr(module, "scaled", counting)
+        adaptive.solve_dp(inst)
+        tree = policies.PolicyTree(inst, policies.WeitzmanPolicy(inst))
+        sum(tree.payoff(node) for node, _ in tree.walk() if not isinstance(node.action, policies.Inspect))
+        assert calls == []
 
     def test_trees_of_one_instance_share_its_form(self):
         inst = random_instance(40, 6, 20, seed=0)

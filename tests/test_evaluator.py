@@ -29,7 +29,7 @@ from pandora_search import (
 )
 from pandora_search import policies
 from pandora_search.policies import PolicyTree
-from conftest import random_batch
+from conftest import forbid_kappa_laws, random_batch
 
 
 def d(*pairs):
@@ -65,6 +65,15 @@ class TestEvaluateExact:
             assert sum(res.select_probs) <= 1
             for p in res.inspect_probs + res.select_probs:
                 assert 0 <= p <= 1
+
+    @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
+    def test_builds_no_kappa_laws(self, inst, monkeypatch):
+        # evaluate_exact reads sigma and E[v] only: no profile, no modified instance.
+        sets = [(), (0,), (1,), (0, 1)]
+        expected = [evaluate_exact(inst, CommittingPolicy(inst, s)) for s in sets]
+        forbid_kappa_laws(monkeypatch)
+        assert evaluate_exact(inst, WeitzmanPolicy(inst)) == expected[0]
+        assert [evaluate_exact(inst, CommittingPolicy(inst, s)) for s in sets] == expected
 
     def test_path_limit_guard(self, monkeypatch):
         inst = random_instance(3, 3, 9, seed=3)

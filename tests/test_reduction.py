@@ -22,7 +22,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
-from conftest import random_batch
+from conftest import forbid_kappa_laws, random_batch
 
 
 def d(*pairs):
@@ -100,6 +100,15 @@ class TestPhiBound:
         inst = tight_example(10)
         u_pi, u_phi = phi_value_bound(inst, WeitzmanPolicy(inst))
         assert u_pi == u_phi == 1
+
+    @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
+    def test_builds_no_kappa_laws(self, inst, monkeypatch):
+        # sigma and E[v] per box are all the coupling reads.
+        sets = [(), (0,), (1,), (0, 1)]
+        expected = [phi_value_bound(inst, CommittingPolicy(inst, s)) for s in sets]
+        forbid_kappa_laws(monkeypatch)
+        assert phi_value_bound(inst, WeitzmanPolicy(inst)) == expected[0]
+        assert [phi_value_bound(inst, CommittingPolicy(inst, s)) for s in sets] == expected
 
     def test_upper_bounds_arbitrary_policies(self):
         for inst in random_batch(20, 3, 3, seed0=1300):
