@@ -9,7 +9,7 @@ from .core import (
     SizeGuardError,
     max_of_independents,
 )
-from .reservation import amortized_bound, modified_instance, profile, reservation_value
+from .reservation import modified_instance, profile, reservation_value
 from .policies import (
     CallbackPolicy,
     CommittingPolicy,
@@ -54,7 +54,6 @@ __all__ = [
     "Instance",
     "SizeGuardError",
     "max_of_independents",
-    "amortized_bound",
     "profile",
     "reservation_value",
     "modified_instance",

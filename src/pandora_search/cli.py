@@ -5,8 +5,8 @@ Numbers in instance files are decimal strings or exact fraction strings
 parse to exact rationals, so no floats reach the exact pipeline.  Single
 analyses emit human-readable tables (or JSON with --json); sweeps emit CSV.
 
-Exit codes: 0 success, 2 input/validation error or an unwritable output
-file, 3 size-guard exceeded.
+Exit codes: 0 success, 1 failed `ratio` floor, 2 input/validation error, a
+number too large for a float or unwritable output file, 3 size guard exceeded.
 """
 
 from __future__ import annotations
@@ -374,9 +374,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, OverflowError) as e:
         # InputError and InvalidDistributionError are ValueErrors; an OSError
-        # is an output file that cannot be written.
+        # is an output file that cannot be written; an OverflowError is a
+        # number too large for a float.
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SizeGuardError as e:

@@ -78,9 +78,6 @@ class DiscreteDist:
     def min_value(self) -> Num:
         return self._support[0][0]
 
-    def max_value(self) -> Num:
-        return self._support[-1][0]
-
     def expectation(self) -> Num:
         return sum(v * p for v, p in self._support)
 
@@ -91,10 +88,6 @@ class DiscreteDist:
     def prob_at_least(self, t: Num) -> Num:
         """P(X >= t)."""
         return sum(p for v, p in self._support if v >= t)
-
-    def expected_excess(self, sigma: Num) -> Num:
-        """E[(X - sigma)^+]."""
-        return sum((v - sigma) * p for v, p in self._support if v > sigma)
 
     def min_with(self, sigma: Num) -> "DiscreteDist":
         """Distribution of min(X, sigma): mass above sigma collapses onto sigma."""

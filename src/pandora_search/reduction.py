@@ -13,7 +13,7 @@ reservation set is the boxes whose kappa-side variable is *not* probed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core import DiscreteDist, Instance, Num, max_of_independents
 from .evaluator import iter_traces
@@ -43,17 +43,6 @@ class AssociatedProblem:
             not {2 * i, 2 * i + 1} <= probe_set
             for i in range(self.instance.n)
         )
-
-    def independent_sets(self) -> Iterator[FrozenSet[int]]:
-        """All independent probe sets (0, 1, or 2 choices per pair)."""
-        def rec(i, acc):
-            if i == self.instance.n:
-                yield frozenset(acc)
-                return
-            yield from rec(i + 1, acc)
-            yield from rec(i + 1, acc + [2 * i])
-            yield from rec(i + 1, acc + [2 * i + 1])
-        yield from rec(0, [])
 
 
 def build_associated(inst: Instance) -> AssociatedProblem:

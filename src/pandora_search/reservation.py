@@ -46,10 +46,6 @@ class ReservationProfile:
     kappa_dists: Tuple[DiscreteDist, ...]
     expected_values: Tuple[Num, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.sigmas)
-
 
 def profile(inst: Instance) -> ReservationProfile:
     sigmas = []
@@ -72,18 +68,3 @@ def modified_instance(inst: Instance, reservation_set) -> Instance:
         Box(DiscreteDist.point(box.dist.expectation()), 0) if i in s else box
         for i, box in enumerate(inst.boxes)
     )
-
-
-def amortized_bound(result, prof: ReservationProfile) -> Tuple[Tuple[Num, Num], ...]:
-    """Both sides of the amortization inequality per box.
-
-    For an exactly evaluated policy, returns (lhs, rhs) per box with
-    lhs = E[x_i v_i - I_i c_i] and rhs = E[x_i kappa~_i]; lhs <= rhs always,
-    with equality for every box iff the policy is non-exposed.
-    """
-    out = []
-    for i in range(prof.n):
-        lhs = result.selected_value[i] - result.inspection_cost[i]
-        rhs = result.selected_amortized[i]
-        out.append((lhs, rhs))
-    return tuple(out)

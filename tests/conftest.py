@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from pandora_search import Instance, random_instance, reservation
 
@@ -49,3 +50,27 @@ def forbid_kappa_laws(monkeypatch):
 
     monkeypatch.setattr(reservation, "profile", forbidden)
     monkeypatch.setattr(reservation, "modified_instance", forbidden)
+
+
+def expected_excess(dist, sigma):
+    """E[(X - sigma)^+], the left side of the reservation equation."""
+    return sum((v - sigma) * p for v, p in dist.support if v > sigma)
+
+
+def amortized_bound(result):
+    """Both sides of the amortization inequality per box of an exactly
+    evaluated policy: (lhs, rhs) with lhs = E[x_i v_i - I_i c_i] and
+    rhs = E[x_i kappa~_i]; lhs <= rhs always, with equality for every box iff
+    the policy is non-exposed."""
+    return tuple(
+        (value - cost, amortized)
+        for value, cost, amortized in zip(
+            result.selected_value, result.inspection_cost, result.selected_amortized)
+    )
+
+
+def independent_sets(prob):
+    """Every independent probe set of an associated problem: per box i, probe
+    neither variable, the kappa side 2i or the mean side 2i + 1."""
+    for choice in product((None, 0, 1), repeat=prob.instance.n):
+        yield frozenset(2 * i + j for i, j in enumerate(choice) if j is not None)

@@ -21,7 +21,6 @@ from pandora_search import (
     SelectClosed,
     SelectOpen,
     WeitzmanPolicy,
-    amortized_bound,
     analyze_two_box,
     best_committing,
     build_associated,
@@ -31,7 +30,6 @@ from pandora_search import (
     multilinear_value,
     nonadaptive_value,
     phi_value_bound,
-    profile,
     psi_transform,
     random_instance,
     ratio_certificate,
@@ -40,6 +38,7 @@ from pandora_search import (
     tight_example,
 )
 from pandora_search.cli import ONE_MINUS_INV_E_LB
+from conftest import amortized_bound, independent_sets
 
 
 def report(num, ok, detail=""):
@@ -108,17 +107,16 @@ def test_criterion_02_required_variant_equals_closed_form():
 
 def test_criterion_03_amortization_identity():
     for inst in batch_medium():
-        prof = profile(inst)
         policies = [WeitzmanPolicy(inst)]
         policies += [CommittingPolicy(inst, {i}) for i in range(inst.n)]
         for pol in policies:
             res = evaluate_exact(inst, pol)
-            for lhs, rhs in amortized_bound(res, prof):
+            for lhs, rhs in amortized_bound(res):
                 assert lhs == rhs, (inst, pol)
     # exposed policy: open the long shot, then walk away regardless
     inst = tight_example(10)
     pol = CallbackPolicy(lambda s: Inspect(1) if 1 in s.uninspected else Halt())
-    lhs, rhs = amortized_bound(evaluate_exact(inst, pol), profile(inst))[1]
+    lhs, rhs = amortized_bound(evaluate_exact(inst, pol))[1]
     assert lhs < rhs
     report(3, True, "per-box equality on 200 instances; strict gap when exposed")
 
@@ -201,7 +199,7 @@ def _random_callback(inst, pol_seed):
 def test_criterion_08_probing_inequalities():
     for inst in batch_small():
         prob = build_associated(inst)
-        for b in prob.independent_sets():
+        for b in independent_sets(prob):
             committed = evaluate_exact(inst, psi_transform(prob, b)).utility
             assert committed >= nonadaptive_value(prob, b), (inst, b)
         pols = [dp_policy(solve_dp(inst))]

@@ -8,6 +8,7 @@ from pandora_search import adaptive
 from pandora_search import (
     Box,
     DiscreteDist,
+    IllegalActionError,
     Instance,
     NONOBLIGATORY,
     REQUIRED,
@@ -243,3 +244,8 @@ class TestDPPolicy:
         for inst in random_batch(10, 3, 3, seed0=1100):
             sol = solve_dp(inst, variant=REQUIRED)
             assert evaluate_exact(inst, dp_policy(sol)).utility == sol.value
+
+    def test_table_of_another_instance_fails_fast(self):
+        pol = dp_policy(solve_dp(tight_example(10)))
+        with pytest.raises(IllegalActionError, match="not covered by the decision table"):
+            evaluate_exact(random_instance(2, 3, 10, seed=1), pol)

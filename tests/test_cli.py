@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,14 @@ class TestInstanceIO:
 
 
 class TestCommands:
+    def test_module_entry_point_writes_the_file(self, tmp_path):
+        out = tmp_path / "f"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "pandora_search.cli", "gen", "--tight", "3", "-o", str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(out.read_text())["boxes"]
+
     def test_profile(self, tight_file, capsys):
         assert main(["profile", tight_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -309,6 +321,23 @@ class TestExitCodes:
 
     def test_unknown_policy(self, tight_file):
         assert main(["solve", tight_file, "--policy", "psychic"]) == 2
+
+    def test_commit_to_unknown_box_is_input_error(self, tight_file, capsys):
+        assert main(["solve", tight_file, "--policy", "commit:5"]) == 2
+        assert "reservation set contains unknown box indices" in capsys.readouterr().err
+        assert main(["solve", tight_file, "--policy", "commit:x"]) == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ratio"], 2), (["ratio", "--json"], 2), (["solve", "--policy", "dp"], 2),
+        (["simulate", "--policy", "weitzman", "--trials", "10"], 2), (["profile"], 0),
+    ])
+    def test_number_too_large_for_a_float_is_input_error(self, tmp_path, capsys, argv, code):
+        # ratio, solve and simulate turn the value into a float, to print it or
+        # to simulate; exit 1 would read as a failed ratio floor.
+        p = tmp_path / "big.json"
+        p.write_text('{"boxes": [{"cost": "0", "support": [{"value": "1e400", "prob": "1"}]}]}')
+        assert main([argv[0], str(p), *argv[1:]]) == code
+        assert ("too large for a float" in capsys.readouterr().err) == (code == 2)
 
     def test_size_guard_exit_code(self, tmp_path, monkeypatch):
         out = tmp_path / "big.json"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from pandora_search import (Box, DiscreteDist, Instance, adaptive, cli, committing, core, evaluator,
                             max_of_independents, policies, random_instance, simulator, tight_example)
 from pandora_search.core import InvalidDistributionError, scaled, value_grid
+from conftest import expected_excess
 
 
 def d(*pairs):
@@ -55,6 +56,14 @@ class TestDiscreteDist:
         with pytest.raises(InvalidDistributionError):
             DiscreteDist([(0, F(3, 2)), (1, F(-1, 2))])
 
+    def test_rejects_empty_support(self):
+        with pytest.raises(InvalidDistributionError, match="empty support"):
+            DiscreteDist([])
+
+    def test_conditioning_on_a_null_event_raises(self):
+        with pytest.raises(InvalidDistributionError, match="null event"):
+            d((0, 1)).conditioned_at_least(1)
+
 
 class TestMaxOfIndependents:
     def test_tight_example_expectation(self):
@@ -63,6 +72,10 @@ class TestMaxOfIndependents:
 
     def test_singleton(self):
         assert max_of_independents([d((3, 1))]) == d((3, 1))
+
+    def test_rejects_no_distributions(self):
+        with pytest.raises(ValueError, match="at least one"):
+            max_of_independents([])
 
     def test_two_by_one(self):
         got = max_of_independents([d((0, F(1, 2)), (2, F(1, 2))), d((1, 1))])
@@ -112,7 +125,7 @@ def test_max_of_independents_matches_enumeration(ds):
 @given(small_dists, st.integers(-6, 12))
 def test_min_with_expectation_identity(dd, sigma):
     # E[min(v, s)] = E[v] - E[(v - s)^+]
-    assert dd.min_with(sigma).expectation() == dd.expectation() - dd.expected_excess(sigma)
+    assert dd.min_with(sigma).expectation() == dd.expectation() - expected_excess(dd, sigma)
 
 
 @given(small_dists, small_dists)

@@ -90,6 +90,10 @@ class TestEvaluateExact:
         with pytest.raises(IllegalActionError):
             evaluate_exact(inst, CallbackPolicy(lambda s: Inspect(0)))
 
+    def test_callback_returning_a_non_action_fails_fast(self):
+        with pytest.raises(IllegalActionError, match="not an action"):
+            evaluate_exact(tight_example(10), CallbackPolicy(lambda s: "inspect"))
+
 
 class TestClosedForm:
     def test_tight_example_values(self):

@@ -22,7 +22,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
-from conftest import forbid_kappa_laws, random_batch
+from conftest import forbid_kappa_laws, independent_sets, random_batch
 
 
 def d(*pairs):
@@ -52,7 +52,7 @@ class TestBuildAssociated:
 
     def test_independent_set_count(self):
         prob = build_associated(random_instance(3, 3, 9, seed=8))
-        sets = list(prob.independent_sets())
+        sets = list(independent_sets(prob))
         assert len(sets) == 3 ** 3
         assert len(set(sets)) == len(sets)
         assert all(prob.is_independent(s) for s in sets)
@@ -80,11 +80,15 @@ class TestPsiTransform:
         assert psi_transform(prob, {0, 2}).reservation_set == frozenset()
         assert psi_transform(prob, set()).reservation_set == frozenset({0, 1})
 
+    def test_rejects_dependent_sets(self):
+        with pytest.raises(ValueError, match="not independent"):
+            psi_transform(build_associated(tight_example(10)), {0, 1})
+
     def test_dominates_every_nonadaptive_probe_set(self):
         for inst in random_batch(20, 3, 3, seed0=1200):
             prob = build_associated(inst)
             best = best_committing(inst).best_value
-            for b in prob.independent_sets():
+            for b in independent_sets(prob):
                 committed = evaluate_exact(inst, psi_transform(prob, b)).utility
                 assert best >= committed >= nonadaptive_value(prob, b), (inst, b)
 
@@ -152,7 +156,7 @@ class TestMultilinear:
 
     def test_vertices_recover_set_values(self):
         prob = build_associated(random_instance(2, 3, 9, seed=30))
-        for b in prob.independent_sets():
+        for b in independent_sets(prob):
             y = [1 if i in b else 0 for i in range(prob.num_variables)]
             assert multilinear_value(prob, y) == nonadaptive_value(prob, b)
 

@@ -11,13 +11,13 @@ from pandora_search import (
     Inspect,
     Instance,
     WeitzmanPolicy,
-    amortized_bound,
     evaluate_exact,
     profile,
     random_instance,
     reservation_value,
     tight_example,
 )
+from conftest import amortized_bound, expected_excess
 
 
 def d(*pairs):
@@ -37,7 +37,7 @@ class TestReservationValue:
         for seed in range(40):
             for box in random_instance(3, 5, 12, seed=seed).boxes:
                 sigma = reservation_value(Box(box.dist, 0))
-                assert sigma == box.dist.max_value()
+                assert sigma == box.dist.support[-1][0]
                 assert type(sigma) is F
 
     def test_point_mass(self):
@@ -53,9 +53,9 @@ class TestReservationValue:
             inst = random_instance(1, 4, 10, seed=seed, cost_scale_max=F(3, 2))
             box = inst.boxes[0]
             sigma = reservation_value(box)
-            assert box.dist.expected_excess(sigma) == box.cost
+            assert expected_excess(box.dist, sigma) == box.cost
             if box.cost > 0:
-                assert box.dist.expected_excess(sigma + F(1, 7)) < box.cost
+                assert expected_excess(box.dist, sigma + F(1, 7)) < box.cost
 
     def test_monotone_in_cost(self):
         dist = d((0, F(1, 3)), (4, F(1, 3)), (9, F(1, 3)))
@@ -69,10 +69,10 @@ class TestReservationValue:
             box = inst.boxes[0]
             sigma = reservation_value(box)
             if box.cost == 0:
-                assert sigma == box.dist.max_value()
+                assert sigma == box.dist.support[-1][0]
                 continue
             grid = [F(k, 16) for k in range(-16 * 12, 16 * 12)]
-            below = [s for s in grid if box.dist.expected_excess(s) >= box.cost]
+            below = [s for s in grid if expected_excess(box.dist, s) >= box.cost]
             assert max(below) <= sigma < max(below) + F(1, 16)
 
 
@@ -100,9 +100,8 @@ class TestProfile:
 class TestAmortizedBound:
     def test_weitzman_is_tight_per_box(self):
         inst = tight_example(10)
-        prof = profile(inst)
         res = evaluate_exact(inst, WeitzmanPolicy(inst))
-        for lhs, rhs in amortized_bound(res, prof):
+        for lhs, rhs in amortized_bound(res):
             assert lhs == rhs
 
     def test_exposed_policy_is_strict(self):
@@ -110,7 +109,7 @@ class TestAmortizedBound:
         inst = tight_example(10)
         pol = CallbackPolicy(lambda s: Inspect(1) if 1 in s.uninspected else Halt())
         res = evaluate_exact(inst, pol)
-        lhs, rhs = amortized_bound(res, profile(inst))[1]
+        lhs, rhs = amortized_bound(res)[1]
         assert lhs < rhs
         assert lhs == -F(9, 20) and rhs == 0
 
@@ -119,14 +118,13 @@ class TestAmortizedBound:
         pol = CommittingPolicy(inst, {1})
         res = evaluate_exact(inst, pol)
         prof = profile(inst)
-        lhs, rhs = amortized_bound(res, prof)[1]
+        lhs, rhs = amortized_bound(res)[1]
         assert lhs == rhs == res.select_probs[1] * prof.expected_values[1]
 
     def test_inequality_holds_for_arbitrary_policies(self):
         import random
 
         inst = random_instance(3, 3, 8, seed=4)
-        prof = profile(inst)
 
         def scripted(state):
             rng = random.Random(str((len(state.observed), sorted(state.uninspected))))
@@ -135,5 +133,5 @@ class TestAmortizedBound:
             return rng.choice(legal)
 
         res = evaluate_exact(inst, CallbackPolicy(scripted))
-        for lhs, rhs in amortized_bound(res, prof):
+        for lhs, rhs in amortized_bound(res):
             assert lhs <= rhs
