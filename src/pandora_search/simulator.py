@@ -13,14 +13,15 @@ of Generator.random() on the same stream, without converting words to doubles.
 
 Trials are drawn CHUNK at a time and folded into distinct joint outcomes (one
 support index per box) with their counts: by np.bincount over mixed-radix
-outcome ids, in one batch, when the joint support has at most
-OUTCOME_TABLE_LIMIT outcomes, else one batch per chunk, by one np.lexsort of
-the chunk's digit columns and a split into runs of equal rows.  The sort
-works on the digits themselves, so it has no limit on the joint support (no
-outcome id has to fit in 64 bits).  The
-policy's execution tree (policies.PolicyTree) splits each batch's (outcome,
-count) pairs at each inspecting node, the report reduces the trials reaching
-each leaf over all batches, and memory holds one chunk and the leaves.
+outcome ids, held in the narrowest unsigned type that holds the joint size
+(so every id and every radix fits), in one batch, when the joint support has
+at most OUTCOME_TABLE_LIMIT outcomes, else one batch per chunk, by one
+np.lexsort of the chunk's digit columns and a split into runs of equal rows.
+The sort works on the digits themselves, so it has no limit on the joint
+support (no outcome id has to fit in 64 bits).  The policy's execution tree
+(policies.PolicyTree) splits each batch's (outcome, count) pairs at each
+inspecting node, the report reduces the trials reaching each leaf over all
+batches, and memory holds one chunk and the leaves.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def _support_index(raw: np.ndarray, cuts: List[np.uint64]) -> np.ndarray:
     in the smallest unsigned dtype that holds it.  One vectorized compare per
     cut is, for the small supports boxes have, several times faster than
     np.searchsorted."""
-    index = np.zeros(len(raw), dtype=np.min_scalar_type(len(cuts)))
-    for c in cuts:
+    dtype = np.min_scalar_type(len(cuts))
+    index = (raw >= cuts[0]).astype(dtype) if cuts else np.zeros(len(raw), dtype)
+    for c in cuts[1:]:
         index += raw >= c
     return index
 
@@ -132,8 +134,9 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
     joint = math.prod(sizes)
     if joint <= OUTCOME_TABLE_LIMIT:
         counts = np.zeros(joint, dtype=np.int64)
+        dtype = np.min_scalar_type(joint)
         for digits in _draw_chunks(inst, trials, seed):
-            ids = digits[0].astype(np.intp)
+            ids = digits[0].astype(dtype)
             for d, s in zip(digits[1:], sizes[1:]):
                 ids *= s
                 ids += d

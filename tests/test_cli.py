@@ -328,16 +328,21 @@ class TestExitCodes:
         assert main(["solve", tight_file, "--policy", "commit:x"]) == 2
 
     @pytest.mark.parametrize("argv, code", [
-        (["ratio"], 2), (["ratio", "--json"], 2), (["solve", "--policy", "dp"], 2),
+        (["ratio"], 2), (["ratio", "--json"], 0), (["solve", "--policy", "dp"], 2),
         (["simulate", "--policy", "weitzman", "--trials", "10"], 2), (["profile"], 0),
     ])
     def test_number_too_large_for_a_float_is_input_error(self, tmp_path, capsys, argv, code):
-        # ratio, solve and simulate turn the value into a float, to print it or
-        # to simulate; exit 1 would read as a failed ratio floor.
+        # Text ratio, solve and simulate turn the value into a float, to print
+        # it or to simulate; exit 1 would read as a failed ratio floor.
+        # ratio --json prints exact strings and a ratio in [0, 1].
         p = tmp_path / "big.json"
         p.write_text('{"boxes": [{"cost": "0", "support": [{"value": "1e400", "prob": "1"}]}]}')
         assert main([argv[0], str(p), *argv[1:]]) == code
-        assert ("too large for a float" in capsys.readouterr().err) == (code == 2)
+        out, err = capsys.readouterr()
+        assert ("too large for a float" in err) == (code == 2)
+        if argv == ["ratio", "--json"]:
+            doc = json.loads(out)
+            assert (doc["dp"], doc["best_committing"], doc["ratio"]) == ("1" + "0" * 400,) * 2 + ("1",)
 
     def test_size_guard_exit_code(self, tmp_path, monkeypatch):
         out = tmp_path / "big.json"

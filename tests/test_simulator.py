@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -19,9 +20,12 @@ from pandora_search import (
     SearchState,
     SelectOpen,
     WeitzmanPolicy,
+    best_committing,
+    dp_policy,
     evaluate_exact,
     random_instance,
     simulate,
+    solve_dp,
     tight_example,
 )
 import pandora_search.simulator as sim
@@ -269,6 +273,30 @@ def row_unique(chunks):
     return out
 
 
+def uniform(points):
+    return DiscreteDist((v, F(1, points)) for v in range(points))
+
+
+# Joints of 4, 255 (the widest uint8 ids), 256 (the first uint16 ids), 257
+# (uint16 digits), 512 and OUTCOME_TABLE_LIMIT; (1, 256) multiplies by a radix
+# of 256 after a 1-point box, which ids typed by the largest id (255) overflow.
+TABLE_SIZES = [(2, 2), (3, 5, 17), (4,) * 4, (257,), (2,) * 9, (2,) * 14, (1, 256)]
+
+
+class TestOutcomeTableFold:
+    @pytest.mark.parametrize("sizes", TABLE_SIZES, ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_matches_row_unique_summed_over_chunks(self, sizes):
+        inst = tight_example(10) if sizes == (2, 2) else Instance([Box(uniform(s), 0) for s in sizes])
+        assert tuple(inst.support_sizes()) == sizes
+        assert math.prod(sizes) <= sim.OUTCOME_TABLE_LIMIT
+        (table,) = sim._outcome_counts(inst, REFERENCE_TRIALS, 0)
+        totals = collections.Counter()
+        for pairs in row_unique(sim._draw_chunks(inst, REFERENCE_TRIALS, 0)):
+            for row, count in pairs:
+                totals[tuple(row)] += count
+        assert [(tuple(row), count) for row, count in table] == sorted(totals.items())
+
+
 # 40 boxes of up to six support points: about 2**70 joint outcomes.
 WIDE = random_instance(40, 6, 20, seed=0)
 
@@ -300,8 +328,8 @@ class TestLexsortFold:
         assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
 
 
-@pytest.mark.parametrize("dist", [TINY_TAIL, DYADIC, DiscreteDist([(0, F(1, 3)), (1, F(1, 7)), (2, F(11, 21))])],
-                         ids=["tiny-tail", "dyadic", "thirds"])
+@pytest.mark.parametrize("dist", [TINY_TAIL, DYADIC, DiscreteDist([(0, F(1, 3)), (1, F(1, 7)), (2, F(11, 21))]),
+                                  uniform(300)], ids=["tiny-tail", "dyadic", "thirds", "uniform-300"])
 def test_raw_cuts_agree_with_generator_random_at_each_cut(dist):
     """Words on either side of every float cumulative probability c get the
     support index that Generator.random()'s u = (r >> 11) * 2**-53 gets."""
@@ -317,6 +345,28 @@ def test_raw_cuts_agree_with_generator_random_at_each_cut(dist):
     assert sim._support_index(np.array(words, dtype=np.uint64), cuts).tolist() == expected.tolist()
     if dist is TINY_TAIL:
         assert cuts == []
+
+
+# simulate(tight_example(10), pol, 10**6, 2055013756), bit for bit: the seed is
+# the first small-joint seed of perfbench's seed-0 monte-carlo plan.
+MILLION_TRIAL_REPORTS = {
+    "weitzman": "SimReport(trials=1000000, seed=2055013756, mean_utility=0.9986550000000001, "
+                "std_error=0.0028873105180317947, inspect_freq=(0.90015, 1.0), select_freq=(0.450155, 0.549845))",
+    "dp": "SimReport(trials=1000000, seed=2055013756, mean_utility=1.2235821, "
+          "std_error=0.002860784915656877, inspect_freq=(1.0, 0.500162), select_freq=(0.450155, 0.549845))",
+}
+MILLION_TRIAL_REPORTS["best-committing"] = MILLION_TRIAL_REPORTS["weitzman"]  # its best set is empty
+
+
+@pytest.mark.parametrize("name", ["weitzman", "best-committing", "dp"])
+def test_million_trials_match_pinned_report(name):
+    inst = tight_example(10)
+    pol = {
+        "weitzman": lambda: WeitzmanPolicy(inst),
+        "best-committing": lambda: CommittingPolicy(inst, best_committing(inst).best_set),
+        "dp": lambda: dp_policy(solve_dp(inst)),
+    }[name]()
+    assert repr(simulate(inst, pol, 10**6, 2055013756)) == MILLION_TRIAL_REPORTS[name]
 
 
 def test_memory_does_not_grow_with_trials():
