@@ -3,8 +3,9 @@
 Every value, probability and cost is a `fractions.Fraction` (ints are
 converted on the way in), so every identity in the library is an equality,
 not a tolerance check.  Floats are rejected with TypeError where a
-distribution or box is built.  The Monte Carlo simulator is the one module
-that computes in floats, and it converts the exact data itself.
+distribution or box is built.  The Monte Carlo simulator sums payoffs as
+integers too; its only floats are the cumulative probabilities its draws cut
+at, which must match Generator.random, and the once-rounded report.
 """
 
 from __future__ import annotations

@@ -24,7 +24,12 @@ def random_instance(
 ) -> Instance:
     """Random n-box instance.  Costs are uniform on a grid of COST_GRID steps
     over [0, cost_scale_max * E[v]] per box, so c > E[v] (negative sigma) only
-    occurs when cost_scale_max > 1."""
+    occurs when cost_scale_max > 1.  A box draws up to max_support distinct
+    values from 0..value_max, so 1 <= max_support <= value_max + 1."""
+    if value_max < 0:
+        raise ValueError(f"value_max must be >= 0, got {value_max}")
+    if not 1 <= max_support <= value_max + 1:
+        raise ValueError(f"max_support must be in [1, value_max + 1 = {value_max + 1}], got {max_support}")
     rng = random.Random(seed)
     boxes = []
     for _ in range(n):

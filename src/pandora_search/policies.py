@@ -206,16 +206,14 @@ class PolicyTree:
 
         return self.traverse(self.scale, split)
 
-    def payoff(self, node: Node, draw: Optional[int] = None) -> Num:
-        """Utility at a terminal node: the selected box's value minus the
-        inspection costs paid.  A box selected closed is worth the support
-        value at index draw, or its mean when draw is None."""
+    def payoff(self, node: Node) -> Num:
+        """Expected utility at a terminal node: the selected box's value (its
+        mean when selected closed) minus the inspection costs paid."""
         action = node.action
         if isinstance(action, SelectOpen):
             value = dict(node.state.observed)[action.box]
         elif isinstance(action, SelectClosed):
-            dist = self.instance.boxes[action.box].dist
-            value = dist.expectation() if draw is None else dist.support[draw][0]
+            value = self.instance.boxes[action.box].dist.expectation()
         else:
             value = 0
         return value - Fraction(node.cost, self.form.scale)

@@ -20,20 +20,22 @@ np.lexsort of the chunk's digit columns and a split into runs of equal rows.
 The sort works on the digits themselves, so it has no limit on the joint
 support (no outcome id has to fit in 64 bits).  The policy's execution tree
 (policies.PolicyTree) splits each batch's (outcome, count) pairs at each
-inspecting node, the report reduces the trials reaching each leaf over all
-batches, and memory holds one chunk and the leaves.
+inspecting node.  The report sums count * payoff and count * payoff**2 as
+integers on the scale core.IntegerForm.scale over every leaf of every batch,
+and rounds the mean and the variance once: memory holds one chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import Instance, Num
-from .policies import Halt, Inspect, Policy, PolicyTree, SelectClosed
+from .core import Instance, IntegerForm, Num
+from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectClosed
 
 OUTCOME_TABLE_LIMIT = 1 << 14
 CHUNK = 1 << 15
@@ -57,35 +59,29 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     selected closed contributes its realized (unobserved) draw.
     """
     outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
-    tree = PolicyTree(inst, pol)
-    ((_, draw), (node, _)), = _leaves(tree, [[(outcome, 1)]]).items()
+    *_, (node, _) = PolicyTree(inst, pol).traverse([(outcome, 1)], _split)
     opened = {i for i, _ in node.state.observed}
     inspected = tuple(1 if i in opened else 0 for i in range(inst.n))
     chosen = None if isinstance(node.action, Halt) else node.action.box
-    return tree.payoff(node, draw), inspected, chosen
+    return Fraction(_payoff(inst.form, node, outcome), inst.form.scale), inspected, chosen
 
 
-def _leaves(tree: PolicyTree, batches) -> dict:
-    """[terminal node, trials] per leaf that batches of (outcome, count) pairs
-    reach, keyed by the support indices on its path and a closed box's draw."""
+def _split(i, pairs):
+    """(outcome, count) pairs grouped by box i's support index."""
+    groups = {}
+    for pair in pairs:
+        groups.setdefault(pair[0][i], []).append(pair)
+    return groups.items()
 
-    def split(i, pairs):
-        groups = {}
-        for pair in pairs:
-            groups.setdefault(pair[0][i], []).append(pair)
-        return groups.items()
 
-    leaves = {}
-    for pairs in batches:
-        for node, reached in tree.traverse(pairs, split):
-            if not isinstance(node.action, Inspect):
-                path = tuple(reached[0][0][i] for i, _ in node.state.observed)
-                if isinstance(node.action, SelectClosed):
-                    for outcome, count in reached:
-                        leaves.setdefault((path, outcome[node.action.box]), [node, 0])[1] += count
-                else:
-                    leaves.setdefault((path, None), [node, 0])[1] += sum(c for _, c in reached)
-    return leaves
+def _payoff(form: IntegerForm, node: Node, outcome) -> int:
+    """Utility times form.scale at a terminal node on a trial drawing support
+    index outcome[i] from each box i: the selected box's value there, opened
+    or not, minus the inspection costs paid."""
+    if isinstance(node.action, Halt):
+        return -node.cost
+    i = node.action.box
+    return form.values[form.boxes[i][1][outcome[i]][0]] - node.cost
 
 
 def _raw_cuts(dist) -> List[np.uint64]:
@@ -165,29 +161,34 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     tree = PolicyTree(inst, pol)
-    leaves = _leaves(tree, _outcome_counts(inst, trials, seed))
-
+    form = inst.form
     inspect_count = [0] * inst.n
     select_count = [0] * inst.n
-    weighted = []  # (trials, float utility) per leaf
-    for (_, draw), (node, count) in leaves.items():
-        for i, _ in node.state.observed:
-            inspect_count[i] += count
-        if not isinstance(node.action, Halt):
-            select_count[node.action.box] += count
-        weighted.append((count, float(tree.payoff(node, draw))))
-    # fsum is exactly rounded, so the figures do not depend on leaf order.
-    mean = math.fsum(c * u for c, u in weighted) / trials
-    if trials > 1:
-        var = math.fsum(c * (u - mean) ** 2 for c, u in weighted) / (trials - 1)
-        std_error = math.sqrt(var) / math.sqrt(trials)
-    else:
-        std_error = 0.0
+    s1 = s2 = 0  # sums of payoff and payoff**2 over trials, times scale and scale**2
+    for pairs in _outcome_counts(inst, trials, seed):
+        for node, reached in tree.traverse(pairs, _split):
+            if isinstance(node.action, Inspect):
+                continue
+            count = sum(c for _, c in reached)
+            for i, _ in node.state.observed:
+                inspect_count[i] += count
+            if not isinstance(node.action, Halt):
+                select_count[node.action.box] += count
+            # Only a box selected closed pays a draw that varies within a leaf.
+            if not isinstance(node.action, SelectClosed):
+                reached = [(reached[0][0], count)]
+            for outcome, c in reached:
+                u = _payoff(form, node, outcome)
+                s1 += c * u
+                s2 += c * u * u
+    mean = float(Fraction(s1, trials * form.scale))
+    # The unbiased variance; its numerator is 0 for one trial.
+    var = Fraction(trials * s2 - s1 * s1, trials * max(trials - 1, 1) * form.scale**2)
     return SimReport(
         trials=trials,
         seed=seed,
         mean_utility=mean,
-        std_error=std_error,
+        std_error=math.sqrt(var) / math.sqrt(trials),
         inspect_freq=tuple(c / trials for c in inspect_count),
         select_freq=tuple(c / trials for c in select_count),
     )

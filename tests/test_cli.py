@@ -359,6 +359,34 @@ class TestExitCodes:
         assert "DP state bound 2^19 * 12 = 6291456 exceeds 4194304" in capsys.readouterr().err
 
 
+class TestRandomInstanceBounds:
+    """random_instance draws up to max_support distinct values from
+    0..value_max, so gen and sweep refuse a bound no box can meet, on every
+    seed, with exit code 2 and the parameter's name."""
+
+    @pytest.mark.parametrize("seed", ["0", "9"])
+    def test_gen_max_support_past_the_value_grid(self, tmp_path, capsys, seed):
+        out = tmp_path / "r.json"
+        assert main(["gen", "--random", "3", "12", "10", "1", seed, "-o", str(out)]) == 2
+        assert "max_support must be in [1, value_max + 1 = 11], got 12" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_max_support_on_the_whole_grid(self, tmp_path):
+        assert main(["gen", "--random", "3", "11", "10", "1", "9", "-o", str(tmp_path / "r.json")]) == 0
+
+    def test_gen_zero_max_support(self, tmp_path, capsys):
+        assert main(["gen", "--random", "3", "0", "10", "1", "0", "-o", str(tmp_path / "r.json")]) == 2
+        assert "max_support must be in [1, value_max + 1 = 11], got 0" in capsys.readouterr().err
+
+    def test_gen_negative_value_max(self, tmp_path, capsys):
+        assert main(["gen", "--random", "3", "1", "-1", "1", "0", "-o", str(tmp_path / "r.json")]) == 2
+        assert "value_max must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_sweep_zero_max_support(self, capsys):
+        assert main(["sweep", "--random-batch", "2", "3", "0", "10", "0"]) == 2
+        assert "max_support must be in [1, value_max + 1 = 11], got 0" in capsys.readouterr().err
+
+
 class DPSolved(Exception):
     pass
 

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -32,8 +33,9 @@ import pandora_search.simulator as sim
 from pandora_search import policies
 from pandora_search.simulator import run_once
 
-# Chunked folding sums utilities in another order than the per-trial
-# reference, so the mean and the standard error may differ in the last bits.
+# simulate rounds the exact sample mean and variance once (TestExactReport);
+# the per-trial reference's numpy float mean and std are the inexact side, so
+# they may differ from it in the last bits.
 REL_TOL = 1e-12
 
 
@@ -263,6 +265,81 @@ class TestAgainstPerTrialReference:
         assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
 
 
+def exact_moments(inst, pol, trials, seed):
+    """The exact sample mean and unbiased variance of the utility over the
+    trials simulate(inst, pol, trials, seed) draws, as Fractions, without the
+    execution tree: each box's indices drawn by Generator.random as
+    per_trial_loop draws them, distinct joint outcomes counted by a 1-D
+    np.unique of mixed-radix ids, and run_by_decide run once per outcome."""
+    sizes = inst.support_sizes()
+    ids = np.zeros(trials, dtype=np.int64)
+    for i, box in enumerate(inst.boxes):
+        u = np.random.Generator(np.random.Philox(key=[seed, i])).random(trials)
+        cum = np.cumsum([float(p) for p in box.dist.probs()])
+        ids = ids * sizes[i] + np.minimum(np.searchsorted(cum, u, side="right"), sizes[i] - 1)
+    ids, counts = np.unique(ids, return_counts=True)
+    supports = [b.dist.values() for b in inst.boxes]
+    s1 = s2 = F(0)
+    for ks, count in zip(np.stack(np.unravel_index(ids, sizes), axis=1).tolist(), counts.tolist()):
+        u, _, _ = run_by_decide(inst, pol, [supports[i][k] for i, k in enumerate(ks)])
+        s1 += count * u
+        s2 += count * u * u
+    mean = s1 / trials
+    return mean, (s2 - trials * mean * mean) / (trials - 1)
+
+
+def open_two_select_first(state):
+    """Opens boxes 0 and 1, then selects box 0 whichever is larger."""
+    return Inspect(len(state.observed)) if len(state.observed) < 2 else SelectOpen(0)
+
+
+class TestExactReport:
+    """The report's mean and standard error are the exact sample figures,
+    each rounded once."""
+
+    def assert_exact(self, inst, pol, trials, seed):
+        rep = simulate(inst, pol, trials, seed)
+        mean, var = exact_moments(inst, pol, trials, seed)
+        assert rep.mean_utility == float(mean)
+        assert rep.std_error == math.sqrt(var) / math.sqrt(trials)
+        return rep, mean
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    @pytest.mark.parametrize("table_limit", [sim.OUTCOME_TABLE_LIMIT, 0], ids=["bincount", "row-unique"])
+    def test_reference_cases(self, case, table_limit, monkeypatch):
+        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", table_limit)
+        self.assert_exact(*reference_case(case), REFERENCE_TRIALS, REFERENCE_SEED)
+
+    @pytest.mark.parametrize("name", ["weitzman", "dp"])
+    def test_million_trials(self, name):
+        inst = tight_example(10)
+        pol = WeitzmanPolicy(inst) if name == "weitzman" else dp_policy(solve_dp(inst))
+        _, mean = self.assert_exact(inst, pol, 10**6, 2055013756)
+        if name == "weitzman":
+            assert mean == F(199731, 200000)
+
+    @pytest.mark.parametrize("trials", [2000, sim.CHUNK + 17])
+    def test_closed_selections_past_the_outcome_table(self, trials):
+        inst = large_joint()
+        assert math.prod(inst.support_sizes()) > sim.OUTCOME_TABLE_LIMIT
+        # Box 2 reserved: selected closed on about 3 trials in 10, at its draw.
+        rep, _ = self.assert_exact(inst, CommittingPolicy(inst, {2}), trials, 0)
+        assert rep.inspect_freq[2] == 0
+        assert rep.select_freq[2] > 0.2
+
+    def test_select_open_of_a_box_that_is_not_the_best(self):
+        inst = random_instance(3, 3, 9, seed=70)
+        rep, _ = self.assert_exact(inst, CallbackPolicy(open_two_select_first), REFERENCE_TRIALS, REFERENCE_SEED)
+        assert rep.select_freq == (1.0, 0.0, 0.0)
+
+
+def test_run_once_matches_run_by_decide_on_every_outcome():
+    for case in REFERENCE_CASES:
+        inst, pol = reference_case(case)
+        for values in itertools.product(*(b.dist.values() for b in inst.boxes)):
+            assert run_once(inst, pol, values) == run_by_decide(inst, pol, values)
+
+
 def row_unique(chunks):
     """The fold as np.unique over each chunk's rows: (row, count) pairs in
     lexicographic row order, one list per chunk."""
@@ -348,12 +425,14 @@ def test_raw_cuts_agree_with_generator_random_at_each_cut(dist):
 
 
 # simulate(tight_example(10), pol, 10**6, 2055013756), bit for bit: the seed is
-# the first small-joint seed of perfbench's seed-0 monte-carlo plan.
+# the first small-joint seed of perfbench's seed-0 monte-carlo plan.  The mean
+# and the standard error are the exact sample figures rounded once, as
+# exact_moments confirms (TestExactReport.test_million_trials).
 MILLION_TRIAL_REPORTS = {
-    "weitzman": "SimReport(trials=1000000, seed=2055013756, mean_utility=0.9986550000000001, "
-                "std_error=0.0028873105180317947, inspect_freq=(0.90015, 1.0), select_freq=(0.450155, 0.549845))",
+    "weitzman": "SimReport(trials=1000000, seed=2055013756, mean_utility=0.998655, "
+                "std_error=0.0028873105180317942, inspect_freq=(0.90015, 1.0), select_freq=(0.450155, 0.549845))",
     "dp": "SimReport(trials=1000000, seed=2055013756, mean_utility=1.2235821, "
-          "std_error=0.002860784915656877, inspect_freq=(1.0, 0.500162), select_freq=(0.450155, 0.549845))",
+          "std_error=0.0028607849156568766, inspect_freq=(1.0, 0.500162), select_freq=(0.450155, 0.549845))",
 }
 MILLION_TRIAL_REPORTS["best-committing"] = MILLION_TRIAL_REPORTS["weitzman"]  # its best set is empty
 
