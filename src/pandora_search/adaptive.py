@@ -22,7 +22,9 @@ of G + 1, -1 while nothing is observed).  The memo is checked where the
 inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
-entry is stored.
+entry is stored.  The solution also keeps each state's action by its id, so
+DecisionTablePolicy decides on a policies.PolicyTree node of the solved
+instance from its (mask, rank) alone; on a SearchState it reads the table.
 
 Size guard: solve_dp raises SizeGuardError before any state is solved when
 the state bound 2^n (G + 1), G the size of the value grid, exceeds
@@ -31,12 +33,12 @@ MAX_DP_STATES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from .core import Instance, Num, SizeGuardError
-from .policies import (Action, Halt, IllegalActionError, Inspect, Policy, SearchState, SelectClosed,
+from .core import Instance, IntegerForm, Num, SizeGuardError
+from .policies import (Action, Halt, IllegalActionError, Inspect, Node, Policy, SearchState, SelectClosed,
                        SelectOpen)
 
 NONOBLIGATORY = "nonobligatory"
@@ -53,6 +55,11 @@ DPState = Tuple[FrozenSet[int], Optional[Num]]
 class DPSolution:
     value: Num
     table: Dict[DPState, Tuple[AbstractAction, Num]]
+    # Each solved state's action by state id, on the integer form solved
+    # on: codes[id] indexes moves, and 0 marks a state not solved.
+    codes: bytearray = field(compare=False, repr=False)
+    moves: Tuple[Optional[AbstractAction], ...] = field(compare=False, repr=False)
+    form: IntegerForm = field(compare=False, repr=False)
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
@@ -71,6 +78,12 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
 
     table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
     memo: Dict[int, int] = {}
+    # An action's code: 1 halt, 2 select open, 3 + j select j closed,
+    # 3 + n + i inspect i.  Past MAX_DP_STATES no state is solved, so n <= 21
+    # and every code fits in a byte.
+    moves = (None, ("halt", None), ("select_open", None), *(("select_closed", j) for j in range(n)),
+             *(("inspect", i) for i in range(n)))
+    codes = bytearray(bound)
     sets: Dict[int, Tuple[FrozenSet[int], Tuple[int, ...]]] = {}  # mask -> (set, members)
 
     def value(mask: int, best: int, weight: int) -> int:
@@ -82,16 +95,16 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
             entry = sets[mask] = (frozenset(members), members)
         uninspected, members = entry
         top: Optional[int] = None
-        action: Optional[AbstractAction] = None
+        code = 0
         if best >= 0:
-            top, action = grid_scaled[best] * weight, ("select_open", None)
+            top, code = grid_scaled[best] * weight, 2
         elif nonobligatory:
-            top, action = 0, ("halt", None)
+            top, code = 0, 1
         if nonobligatory:
             for j in members:
                 closed = mean_scaled[j] * weight
                 if closed > top:
-                    top, action = closed, ("select_closed", j)
+                    top, code = closed, 3 + j
         for i in members:
             rest = mask ^ (1 << i)
             base = rest * width + 1
@@ -104,38 +117,57 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
                     sub = value(rest, nb, weight // d)
                 cont += w * sub
             if top is None or cont > top:
-                top, action = cont, ("inspect", i)
-        if action is None:
+                top, code = cont, 3 + n + i
+        if not code:
             raise AssertionError("no legal action: empty state with nothing observed")
-        memo[mask * width + best + 1] = top
-        table[(uninspected, grid[best] if best >= 0 else None)] = (action, Fraction(top, scale * weight))
+        state = mask * width + best + 1
+        memo[state] = top
+        codes[state] = code
+        table[(uninspected, grid[best] if best >= 0 else None)] = (moves[code], Fraction(top, scale * weight))
         return top
 
     value((1 << n) - 1, -1, form.weight)
-    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table)
+    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, codes=codes, moves=moves,
+                      form=form)
 
 
 class DecisionTablePolicy(Policy):
-    """Policy read off a solved table: the one reader of its action strings."""
+    """Policy read off a solved table: the one reader of its action strings.
+    On a node of the solved instance's tree it reads the action by the
+    node's state id, mask * width + rank + 1; on a SearchState, by its
+    (uninspected set, best observed value) table key."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, sol: DPSolution):
+        self.table = sol.table
+        self.form = sol.form
+        self._codes, self._moves, self._width = sol.codes, sol.moves, len(sol.form.grid) + 1
 
-    def decide(self, state: SearchState) -> Action:
+    def decide(self, state: Union[SearchState, Node]) -> Action:
+        if type(state) is Node:
+            code = self._codes[state.mask * self._width + state.rank + 1]
+            if code:
+                return _action(self._moves[code], state.best)
+            state = state.state  # not solved: the key lookup below raises
         best = state.best_open()
         key = (state.uninspected, None if best is None else best[1])
         try:
-            kind, box = self.table[key][0]
+            move = self.table[key][0]
         except KeyError:
             raise IllegalActionError(f"state {key} not covered by the decision table")
-        if kind == "inspect":
-            return Inspect(box)
-        if kind == "select_closed":
-            return SelectClosed(box)
-        return SelectOpen(best[0]) if kind == "select_open" else Halt()
+        return _action(move, None if best is None else best[0])
+
+
+def _action(move: AbstractAction, best: Optional[int]) -> Action:
+    """The policy action of a table action, best the best opened box."""
+    kind, box = move
+    if kind == "inspect":
+        return Inspect(box)
+    if kind == "select_closed":
+        return SelectClosed(box)
+    return SelectOpen(best) if kind == "select_open" else Halt()
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:
     """Executable policy reading actions off the solved table; its exact
     evaluation equals sol.value."""
-    return DecisionTablePolicy(sol.table)
+    return DecisionTablePolicy(sol)

@@ -281,6 +281,8 @@ def cmd_sweep(args) -> int:
             rows.append((f"tight-{big_n}", inst))
     else:
         count, n, s, vmax, seed0 = (int(x) for x in args.random_batch)
+        if count < 1:
+            raise InputError(f"--random-batch COUNT must be >= 1, got {count}")
         for k in range(count):
             inst = generators.random_instance(
                 n=n, max_support=s, value_max=vmax, seed=seed0 + k

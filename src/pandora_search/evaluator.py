@@ -13,7 +13,10 @@ adds and multiplies only ints, and it enforces the path guard (PathLimitError
 past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
 (box, rank of the observed value in the tree's value grid) for open
 selections, and builds each result's Fraction once from those sums, reading
-each value from the grid.
+each value from the grid.  It reads each node's integers (action, best box
+and rank), so a node's SearchState is built only for a policy that decides
+on states or for an open selection of a box other than the best;
+iter_traces reads every leaf's state for its Trace.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
             # The selected box is nearly always the carried best one, whose
             # rank the node holds; another one's rank is looked up by value.
             i = action.box
-            if node.state.best[0] == i:
+            if node.best == i:
                 key = (i, node.rank)
             else:
                 key = (i, bisect_left(grid, dict(node.state.observed)[i]))

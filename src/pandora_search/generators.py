@@ -26,6 +26,8 @@ def random_instance(
     over [0, cost_scale_max * E[v]] per box, so c > E[v] (negative sigma) only
     occurs when cost_scale_max > 1.  A box draws up to max_support distinct
     values from 0..value_max, so 1 <= max_support <= value_max + 1."""
+    if cost_scale_max < 0:
+        raise ValueError(f"cost_scale_max must be >= 0, got {cost_scale_max}")
     if value_max < 0:
         raise ValueError(f"value_max must be >= 0, got {value_max}")
     if not 1 <= max_support <= value_max + 1:

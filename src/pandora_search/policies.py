@@ -17,16 +17,19 @@ PolicyTree is the one engine that executes policies, on the instance's
 integer form (core.IntegerForm): one depth-first traversal builds each reached
 node once, splits the weight it carries at each inspecting node (integer
 probabilities for exact evaluation, sampled outcomes for the simulator) and
-counts terminal nodes against PATH_LIMIT (PathLimitError).
+counts terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its
+information state as integers (Node); the built-in policies decide on those
+on their own instance, and a node's SearchState is built only when read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, Num, SizeGuardError
+from .core import Instance, IntegerForm, Num, SizeGuardError
 from . import reservation
 
 PATH_LIMIT = 10_000_000
@@ -73,9 +76,9 @@ _SCAN = object()
 class SearchState:
     """Information available to a policy: observations so far, boxes left.
 
-    best is the (box, value) that best_open returns.  The execution tree
-    carries it from parent to child; a state built without it finds it by a
-    scan of observed."""
+    best is the (box, value) that best_open returns.  A tree node builds its
+    state with it (Node.state); a state built without it finds it by a scan
+    of observed."""
 
     observed: Tuple[Tuple[int, Num], ...]  # (box, value) in inspection order
     uninspected: FrozenSet[int]
@@ -95,15 +98,12 @@ class SearchState:
         return self.best
 
 
-def check_legal(state: SearchState, action: Action) -> None:
-    if isinstance(action, (Inspect, SelectClosed)):
-        if action.box not in state.uninspected:
-            raise IllegalActionError(f"{action} targets an inspected/unknown box")
-    elif isinstance(action, SelectOpen):
-        if action.box not in dict(state.observed):
-            raise IllegalActionError(f"{action} targets a box that was never opened")
-    elif not isinstance(action, Halt):
-        raise IllegalActionError(f"not an action: {action!r}")
+def _holds(bits: int, box) -> bool:
+    """Whether box is one of the positions of the set bits of bits, as `in`
+    on the set of those positions would say for any box."""
+    if type(box) is int and box >= 0:
+        return bits >> box & 1 == 1
+    return box in {i for i in range(bits.bit_length()) if bits >> i & 1}
 
 
 @dataclass(frozen=True)
@@ -124,27 +124,54 @@ class Trace:
 # --- the execution tree ----------------------------------------------------
 
 class Node:
-    """One information state reached by a policy: the observed sequence of
-    (box, support index) pairs, held as the SearchState it produces, with the
-    policy's (checked) action there, the inspection cost paid to reach it
-    times the integer form's scale (core.IntegerForm.scale), and the grid
-    rank of the best observed value (-1 while nothing is observed).  A node
-    is terminal when its action is not an Inspect."""
+    """One information state reached by a policy, as integers: mask, the
+    uninspected boxes as a bitmask; rank, the grid rank of the best observed
+    value (-1 while nothing is observed); best, that value's box, the
+    earliest inspected on ties (None while nothing is observed); and cost,
+    the inspection cost paid to reach it times the integer form's scale
+    (core.IntegerForm.scale).  action is the policy's (checked) action there;
+    the node is terminal when it is not an Inspect.
 
-    __slots__ = ("state", "action", "cost", "rank")
+    state is the same information as a SearchState, built on first read
+    from the parent's state and value, the value observed on the way here."""
 
-    def __init__(self, state: SearchState, action: Action, cost: int, rank: int):
-        self.state = state
-        self.action = action
-        self.cost = cost
+    __slots__ = ("parent", "value", "mask", "rank", "best", "cost", "action", "_state")
+
+    def __init__(self, parent: Optional["Node"], value: Optional[Num], mask: int, rank: int,
+                 best: Optional[int], cost: int):
+        self.parent = parent
+        self.value = value
+        self.mask = mask
         self.rank = rank
+        self.best = best
+        self.cost = cost
+        self._state: Optional[SearchState] = None
+
+    @property
+    def state(self) -> SearchState:
+        if self._state is None:
+            # Build the missing states from the nearest ancestor that has one
+            # (the root always does), without recursion: a path can be long.
+            missing = []
+            node = self
+            while node._state is None:
+                missing.append(node)
+                node = node.parent
+            state = node._state
+            for node in reversed(missing):
+                i = node.parent.action.box
+                best = (i, node.value) if node.best == i else state.best
+                state = node._state = SearchState(state.observed + ((i, node.value),),
+                                                  state.uninspected - {i}, best)
+        return self._state
 
 
 class PolicyTree:
     """The execution tree of a deterministic policy on an instance, expanded
     lazily: the policy's decide and the legality monitor run once per node,
     when the node is built, and an illegal action raises IllegalActionError
-    there.
+    there.  decide gets the node itself when the policy was built for this
+    instance (its form is the instance's), else the node's state.
 
     Probabilities, values and costs come from the instance's integer form;
     a node's weight is its probability times scale = prod d_i (the form's
@@ -156,24 +183,37 @@ class PolicyTree:
         self.form = form = inst.form
         self._grid, self._boxes, self._costs = form.grid, form.boxes, form.costs  # read at every node
         self.scale = form.weight
-        self.root = self._node(SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None), 0, -1)
+        self._full = (1 << inst.n) - 1  # the mask of every box
+        self._decide = pol.decide
+        self._on_node = getattr(pol, "form", None) is form
+        root = Node(None, None, self._full, -1, None, 0)
+        root._state = SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None)
+        self.root = self._settle(root)
 
-    def _node(self, state: SearchState, cost: int, rank: int) -> Node:
-        action = self.policy.decide(state)
-        check_legal(state, action)
-        return Node(state, action, cost, rank)
+    def _settle(self, node: Node) -> Node:
+        """Decide node's action and check it on node's mask, with the
+        messages of a check on its state."""
+        action = self._decide(node if self._on_node else node.state)
+        if isinstance(action, (Inspect, SelectClosed)):
+            if not _holds(node.mask, action.box):
+                raise IllegalActionError(f"{action} targets an inspected/unknown box")
+        elif isinstance(action, SelectOpen):
+            if not _holds(self._full ^ node.mask, action.box):
+                raise IllegalActionError(f"{action} targets a box that was never opened")
+        elif not isinstance(action, Halt):
+            raise IllegalActionError(f"not an action: {action!r}")
+        node.action = action
+        return node
 
     def _expand(self, node: Node, k: int) -> Node:
         i = node.action.box
-        rank = self._boxes[i][1][k][0]
-        v = self._grid[rank]
-        state = node.state
-        if rank > node.rank:
-            best = (i, v)
+        seen = self._boxes[i][1][k][0]
+        if seen > node.rank:
+            rank, best = seen, i
         else:
-            best, rank = state.best, node.rank
-        child = SearchState(state.observed + ((i, v),), state.uninspected - {i}, best)
-        return self._node(child, node.cost + self._costs[i], rank)
+            rank, best = node.rank, node.best
+        return self._settle(Node(node, self._grid[seen], node.mask ^ (1 << i), rank, best,
+                                 node.cost + self._costs[i]))
 
     def traverse(self, weight: Any, split: Callable) -> Iterator[Tuple[Node, Any]]:
         """Every reached node with the weight it carries, depth first from the
@@ -222,6 +262,12 @@ class PolicyTree:
 # --- concrete policies -----------------------------------------------------
 
 class Policy:
+    """decide maps a SearchState to an action.  A policy whose form is an
+    instance's IntegerForm also decides on the Nodes of that instance's
+    PolicyTree, which it then gets instead of their states."""
+
+    form: Optional[IntegerForm] = None
+
     def decide(self, state: SearchState) -> Action:
         raise NotImplementedError
 
@@ -234,6 +280,10 @@ class CommittingPolicy(Policy):
     "inspecting" such a box is realized as selecting it closed.  Inspection
     follows decreasing (modified) reservation value, and the policy stops and
     selects the best opened box once its value is >= every remaining sigma.
+
+    On a node of its instance's tree the stop test best >= sigma_i is
+    rank >= the grid rank of the first value >= sigma_i, and every action is
+    one built with the policy.
     """
 
     def __init__(self, inst: Instance, reservation_set):
@@ -244,24 +294,24 @@ class CommittingPolicy(Policy):
             box.dist.expectation() if i in self.reservation_set else reservation.reservation_value(box)
             for i, box in enumerate(inst.boxes))
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
-        self._sigmas = [(s.numerator, s.denominator) for s in self.sigmas]
+        self.form = inst.form
+        self._stop_ranks = [bisect_left(self.form.grid, s) for s in self.sigmas]
+        self._next = [SelectClosed(i) if i in self.reservation_set else Inspect(i) for i in range(inst.n)]
+        self._stop = [SelectOpen(i) for i in range(inst.n)]
 
-    def decide(self, state: SearchState) -> Action:
-        # A loop: next() over a generator is slower than building the list.
-        for nxt in self.order:
-            if nxt in state.uninspected:
-                break
-        else:
-            nxt = None
+    def decide(self, state: Union[SearchState, Node]) -> Action:
+        if type(state) is Node:
+            mask = state.mask
+            for nxt in self.order:
+                if mask >> nxt & 1:
+                    if state.rank < self._stop_ranks[nxt]:
+                        return self._next[nxt]
+                    break
+            return self._stop[state.best]
+        nxt = next((i for i in self.order if i in state.uninspected), None)
         best = state.best_open()
-        if best is not None:
-            if nxt is None:
-                return SelectOpen(best[0])
-            # best >= sigma as one integer cross-multiplication: ints and
-            # Fractions both have a positive denominator.
-            num, den = self._sigmas[nxt]
-            if best[1].numerator * den >= num * best[1].denominator:
-                return SelectOpen(best[0])
+        if best is not None and (nxt is None or best[1] >= self.sigmas[nxt]):
+            return SelectOpen(best[0])
         if nxt in self.reservation_set:
             # Simulation "inspects" the point mass, sees E[v] = sigma, and
             # stops immediately; realized here as a closed selection.
@@ -278,8 +328,8 @@ class WeitzmanPolicy(CommittingPolicy):
 
 
 class CallbackPolicy(Policy):
-    """Wraps an untrusted decision function; legality is enforced by the
-    evaluator's monitor, which fails fast on an illegal action."""
+    """Wraps an untrusted decision function on SearchStates; legality is
+    enforced by the tree's monitor, which fails fast on an illegal action."""
 
     def __init__(self, fn: Callable[[SearchState], Action]):
         self.fn = fn

@@ -60,8 +60,7 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     """
     outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
     *_, (node, _) = PolicyTree(inst, pol).traverse([(outcome, 1)], _split)
-    opened = {i for i, _ in node.state.observed}
-    inspected = tuple(1 if i in opened else 0 for i in range(inst.n))
+    inspected = tuple(0 if node.mask >> i & 1 else 1 for i in range(inst.n))
     chosen = None if isinstance(node.action, Halt) else node.action.box
     return Fraction(_payoff(inst.form, node, outcome), inst.form.scale), inspected, chosen
 
@@ -170,8 +169,9 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
             if isinstance(node.action, Inspect):
                 continue
             count = sum(c for _, c in reached)
-            for i, _ in node.state.observed:
-                inspect_count[i] += count
+            for i in range(inst.n):
+                if not node.mask >> i & 1:
+                    inspect_count[i] += count
             if not isinstance(node.action, Halt):
                 select_count[node.action.box] += count
             # Only a box selected closed pays a draw that varies within a leaf.

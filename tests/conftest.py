@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
-from pandora_search import Instance, random_instance, reservation
+from pandora_search import Box, DiscreteDist, Instance, random_instance, reservation
 
 
 def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True):
@@ -40,6 +41,18 @@ def random_batch(count: int, n_max: int, max_support: int, value_max: int = 10, 
         n = (k % n_max) + 1
         out.append(random_instance(n, max_support, value_max, seed=seed0 + k))
     return out
+
+
+def wide_instance(n, seed, supports=(5, 6), cost_scale=Fraction(1, 4), value_max=10):
+    """n boxes whose supports have a number of points drawn from supports."""
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(n):
+        values = rng.sample(range(value_max + 1), rng.choice(supports))
+        weights = [rng.randint(1, 6) for _ in values]
+        dist = DiscreteDist((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+        boxes.append(Box(dist, dist.expectation() * cost_scale * Fraction(rng.randint(0, 8), 8)))
+    return Instance(boxes)
 
 
 def forbid_kappa_laws(monkeypatch):

@@ -1,4 +1,3 @@
-import random
 import time
 from fractions import Fraction as F
 
@@ -21,7 +20,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
-from conftest import random_batch, tree_opt
+from conftest import random_batch, tree_opt, wide_instance
 
 
 def d(*pairs):
@@ -62,18 +61,6 @@ def reference_dp(inst, variant=NONOBLIGATORY):
 
     root = value(frozenset(range(inst.n)), None)
     return root, table
-
-
-def wide_instance(n, seed, supports=(5, 6), cost_scale=F(1, 4), value_max=10):
-    """n boxes whose supports have a number of points drawn from supports."""
-    rng = random.Random(seed)
-    boxes = []
-    for _ in range(n):
-        values = rng.sample(range(value_max + 1), rng.choice(supports))
-        weights = [rng.randint(1, 6) for _ in values]
-        dist = DiscreteDist((v, F(w, sum(weights))) for v, w in zip(values, weights))
-        boxes.append(Box(dist, dist.expectation() * cost_scale * F(rng.randint(0, 8), 8)))
-    return Instance(boxes)
 
 
 def tie_instance():

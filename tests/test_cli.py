@@ -386,6 +386,22 @@ class TestRandomInstanceBounds:
         assert main(["sweep", "--random-batch", "2", "3", "0", "10", "0"]) == 2
         assert "max_support must be in [1, value_max + 1 = 11], got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(21))
+    def test_gen_negative_cost_scale(self, tmp_path, capsys, seed):
+        # Some seeds draw a zero cost multiplier for every box, so only a
+        # check of the parameter itself refuses it on each of them.
+        out = tmp_path / "r.json"
+        assert main(["gen", "--random", "1", "4", "10", "-1", str(seed), "-o", str(out)]) == 2
+        assert "cost_scale_max must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sweep_count_below_one(self, tmp_path, capsys, count):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--random-batch", count, "3", "3", "10", "0", "-o", str(out)]) == 2
+        assert f"--random-batch COUNT must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class DPSolved(Exception):
     pass
