@@ -23,8 +23,8 @@ inspect loop reads a successor, so a state already solved costs no call.
 The public table keeps the (frozenset, value) keys: each mask's frozenset is
 built once, and each state's value becomes a Fraction once, when its table
 entry is stored.  The solution also keeps each state's action by its id, so
-DecisionTablePolicy decides on a policies.PolicyTree node of the solved
-instance from its (mask, rank) alone; on a SearchState it reads the table.
+DecisionTablePolicy decides on a policies.PolicyTree node from its (mask,
+rank) alone; it runs only on an instance equal to the solved one.
 
 Size guard: solve_dp raises SizeGuardError before any state is solved when
 the state bound 2^n (G + 1), G the size of the value grid, exceeds
@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import Instance, IntegerForm, Num, SizeGuardError
-from .policies import (Action, Halt, IllegalActionError, Inspect, Node, Policy, SearchState, SelectClosed,
-                       SelectOpen)
+from .core import Instance, Num, SizeGuardError
+from .policies import Action, Halt, Inspect, Node, Policy, SelectClosed, SelectOpen
 
 NONOBLIGATORY = "nonobligatory"
 REQUIRED = "required"
@@ -55,11 +54,11 @@ DPState = Tuple[FrozenSet[int], Optional[Num]]
 class DPSolution:
     value: Num
     table: Dict[DPState, Tuple[AbstractAction, Num]]
-    # Each solved state's action by state id, on the integer form solved
-    # on: codes[id] indexes moves, and 0 marks a state not solved.
+    # Each solved state's action by state id, on the solved instance's
+    # integer form: codes[id] indexes moves, and 0 marks a state not solved.
     codes: bytearray = field(compare=False, repr=False)
     moves: Tuple[Optional[AbstractAction], ...] = field(compare=False, repr=False)
-    form: IntegerForm = field(compare=False, repr=False)
+    instance: Instance = field(compare=False, repr=False)
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
@@ -128,33 +127,22 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
 
     value((1 << n) - 1, -1, form.weight)
     return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, codes=codes, moves=moves,
-                      form=form)
+                      instance=inst)
 
 
 class DecisionTablePolicy(Policy):
     """Policy read off a solved table: the one reader of its action strings.
-    On a node of the solved instance's tree it reads the action by the
-    node's state id, mask * width + rank + 1; on a SearchState, by its
-    (uninspected set, best observed value) table key."""
+    decide reads the action by the node's state id, mask * width + rank + 1.
+    It runs only on an instance equal to the solved one, where every node
+    the tree reaches is a solved state: solve_dp solves every child of each
+    inspection it records."""
 
     def __init__(self, sol: DPSolution):
-        self.table = sol.table
-        self.form = sol.form
-        self._codes, self._moves, self._width = sol.codes, sol.moves, len(sol.form.grid) + 1
+        self.instance = sol.instance
+        self._codes, self._moves, self._width = sol.codes, sol.moves, len(sol.instance.form.grid) + 1
 
-    def decide(self, state: Union[SearchState, Node]) -> Action:
-        if type(state) is Node:
-            code = self._codes[state.mask * self._width + state.rank + 1]
-            if code:
-                return _action(self._moves[code], state.best)
-            state = state.state  # not solved: the key lookup below raises
-        best = state.best_open()
-        key = (state.uninspected, None if best is None else best[1])
-        try:
-            move = self.table[key][0]
-        except KeyError:
-            raise IllegalActionError(f"state {key} not covered by the decision table")
-        return _action(move, None if best is None else best[0])
+    def decide(self, node: Node) -> Action:
+        return _action(self._moves[self._codes[node.mask * self._width + node.rank + 1]], node.best)
 
 
 def _action(move: AbstractAction, best: Optional[int]) -> Action:

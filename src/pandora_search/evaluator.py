@@ -14,9 +14,10 @@ past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
 (box, rank of the observed value in the tree's value grid) for open
 selections, and builds each result's Fraction once from those sums, reading
 each value from the grid.  It reads each node's integers (action, best box
-and rank), so a node's SearchState is built only for a policy that decides
-on states or for an open selection of a box other than the best;
-iter_traces reads every leaf's state for its Trace.
+and rank), as the built-in policies do, so a node's SearchState is built
+only for a CallbackPolicy, whose function gets node.state, or for an open
+selection of a box other than the best; iter_traces reads every leaf's
+state for its Trace.
 """
 
 from __future__ import annotations

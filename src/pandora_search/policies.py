@@ -18,18 +18,20 @@ integer form (core.IntegerForm): one depth-first traversal builds each reached
 node once, splits the weight it carries at each inspecting node (integer
 probabilities for exact evaluation, sampled outcomes for the simulator) and
 counts terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its
-information state as integers (Node); the built-in policies decide on those
-on their own instance, and a node's SearchState is built only when read.
+information state as integers (Node), and every policy's decide gets the
+node: the built-in policies read its integers and run only on an instance
+equal to their own, while a CallbackPolicy's function gets node.state, a
+SearchState built only when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
-from .core import Instance, IntegerForm, Num, SizeGuardError
+from .core import Instance, Num, SizeGuardError
 from . import reservation
 
 PATH_LIMIT = 10_000_000
@@ -69,33 +71,21 @@ Action = Union[Inspect, SelectOpen, SelectClosed, Halt]
 TerminalAction = Union[SelectOpen, SelectClosed, Halt]
 
 
-_SCAN = object()
-
-
 @dataclass(frozen=True)
 class SearchState:
-    """Information available to a policy: observations so far, boxes left.
-
-    best is the (box, value) that best_open returns.  A tree node builds its
-    state with it (Node.state); a state built without it finds it by a scan
-    of observed."""
+    """Information available to a policy: observations so far, boxes left."""
 
     observed: Tuple[Tuple[int, Num], ...]  # (box, value) in inspection order
     uninspected: FrozenSet[int]
-    best: Optional[Tuple[int, Num]] = field(default=_SCAN, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.best is _SCAN:
-            best = None
-            for i, v in self.observed:
-                if best is None or v > best[1]:
-                    best = (i, v)
-            object.__setattr__(self, "best", best)
 
     def best_open(self) -> Optional[Tuple[int, Num]]:
         """Earliest-inspected opened box achieving the maximum observed value:
         among equal values the first one observed wins, whatever its index."""
-        return self.best
+        best = None
+        for i, v in self.observed:
+            if best is None or v > best[1]:
+                best = (i, v)
+        return best
 
 
 def _holds(bits: int, box) -> bool:
@@ -160,9 +150,7 @@ class Node:
             state = node._state
             for node in reversed(missing):
                 i = node.parent.action.box
-                best = (i, node.value) if node.best == i else state.best
-                state = node._state = SearchState(state.observed + ((i, node.value),),
-                                                  state.uninspected - {i}, best)
+                state = node._state = SearchState(state.observed + ((i, node.value),), state.uninspected - {i})
         return self._state
 
 
@@ -170,14 +158,16 @@ class PolicyTree:
     """The execution tree of a deterministic policy on an instance, expanded
     lazily: the policy's decide and the legality monitor run once per node,
     when the node is built, and an illegal action raises IllegalActionError
-    there.  decide gets the node itself when the policy was built for this
-    instance (its form is the instance's), else the node's state.
+    there.  decide gets the node itself.  A policy bound to an instance (its
+    instance is set) runs only on an equal one: ValueError otherwise.
 
     Probabilities, values and costs come from the instance's integer form;
     a node's weight is its probability times scale = prod d_i (the form's
     weight)."""
 
     def __init__(self, inst: Instance, pol: Policy):
+        if pol.instance is not None and pol.instance is not inst and pol.instance != inst:
+            raise ValueError("the policy was built for another instance")
         self.instance = inst
         self.policy = pol
         self.form = form = inst.form
@@ -185,15 +175,14 @@ class PolicyTree:
         self.scale = form.weight
         self._full = (1 << inst.n) - 1  # the mask of every box
         self._decide = pol.decide
-        self._on_node = getattr(pol, "form", None) is form
         root = Node(None, None, self._full, -1, None, 0)
-        root._state = SearchState(observed=(), uninspected=frozenset(range(inst.n)), best=None)
+        root._state = SearchState(observed=(), uninspected=frozenset(range(inst.n)))
         self.root = self._settle(root)
 
     def _settle(self, node: Node) -> Node:
         """Decide node's action and check it on node's mask, with the
         messages of a check on its state."""
-        action = self._decide(node if self._on_node else node.state)
+        action = self._decide(node)
         if isinstance(action, (Inspect, SelectClosed)):
             if not _holds(node.mask, action.box):
                 raise IllegalActionError(f"{action} targets an inspected/unknown box")
@@ -262,13 +251,14 @@ class PolicyTree:
 # --- concrete policies -----------------------------------------------------
 
 class Policy:
-    """decide maps a SearchState to an action.  A policy whose form is an
-    instance's IntegerForm also decides on the Nodes of that instance's
-    PolicyTree, which it then gets instead of their states."""
+    """decide maps a node of the tree that runs the policy (Node) to an
+    action; CallbackPolicy hands its function node.state instead.  A policy
+    whose instance is set, as every built-in one's is, runs only on an
+    instance equal to it (PolicyTree raises ValueError otherwise)."""
 
-    form: Optional[IntegerForm] = None
+    instance: Optional[Instance] = None
 
-    def decide(self, state: SearchState) -> Action:
+    def decide(self, node: Node) -> Action:
         raise NotImplementedError
 
 
@@ -281,9 +271,10 @@ class CommittingPolicy(Policy):
     follows decreasing (modified) reservation value, and the policy stops and
     selects the best opened box once its value is >= every remaining sigma.
 
-    On a node of its instance's tree the stop test best >= sigma_i is
-    rank >= the grid rank of the first value >= sigma_i, and every action is
-    one built with the policy.
+    decide reads the node's integers: the next box of the order is the first
+    whose bit is set in mask, and the stop test best >= sigma_i is rank >=
+    the grid rank of the first value >= sigma_i.  Every action is one built
+    with the policy.
     """
 
     def __init__(self, inst: Instance, reservation_set):
@@ -294,29 +285,21 @@ class CommittingPolicy(Policy):
             box.dist.expectation() if i in self.reservation_set else reservation.reservation_value(box)
             for i, box in enumerate(inst.boxes))
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
-        self.form = inst.form
-        self._stop_ranks = [bisect_left(self.form.grid, s) for s in self.sigmas]
+        self.instance = inst
+        self._stop_ranks = [bisect_left(inst.form.grid, s) for s in self.sigmas]
+        # A box of S is "inspected" by selecting it closed: simulation sees
+        # E[v] = sigma there and stops at once.
         self._next = [SelectClosed(i) if i in self.reservation_set else Inspect(i) for i in range(inst.n)]
         self._stop = [SelectOpen(i) for i in range(inst.n)]
 
-    def decide(self, state: Union[SearchState, Node]) -> Action:
-        if type(state) is Node:
-            mask = state.mask
-            for nxt in self.order:
-                if mask >> nxt & 1:
-                    if state.rank < self._stop_ranks[nxt]:
-                        return self._next[nxt]
-                    break
-            return self._stop[state.best]
-        nxt = next((i for i in self.order if i in state.uninspected), None)
-        best = state.best_open()
-        if best is not None and (nxt is None or best[1] >= self.sigmas[nxt]):
-            return SelectOpen(best[0])
-        if nxt in self.reservation_set:
-            # Simulation "inspects" the point mass, sees E[v] = sigma, and
-            # stops immediately; realized here as a closed selection.
-            return SelectClosed(nxt)
-        return Inspect(nxt)
+    def decide(self, node: Node) -> Action:
+        mask = node.mask
+        for nxt in self.order:
+            if mask >> nxt & 1:
+                if node.rank < self._stop_ranks[nxt]:
+                    return self._next[nxt]
+                break
+        return self._stop[node.best]
 
 
 class WeitzmanPolicy(CommittingPolicy):
@@ -328,11 +311,12 @@ class WeitzmanPolicy(CommittingPolicy):
 
 
 class CallbackPolicy(Policy):
-    """Wraps an untrusted decision function on SearchStates; legality is
-    enforced by the tree's monitor, which fails fast on an illegal action."""
+    """Wraps an untrusted decision function on SearchStates: fn gets each
+    node's state.  It runs on any instance; legality is enforced by the
+    tree's monitor, which fails fast on an illegal action."""
 
     def __init__(self, fn: Callable[[SearchState], Action]):
         self.fn = fn
 
-    def decide(self, state: SearchState) -> Action:
-        return self.fn(state)
+    def decide(self, node: Node) -> Action:
+        return self.fn(node.state)

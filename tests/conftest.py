@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
 
-from pandora_search import Box, DiscreteDist, Instance, random_instance, reservation
+from pandora_search import (Box, CallbackPolicy, CommittingPolicy, DiscreteDist, Halt, Inspect, Instance,
+                            SelectClosed, SelectOpen, random_instance, reservation, solve_dp)
 
 
 def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True):
@@ -32,6 +34,42 @@ def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True)
         # required variant, nothing observed, nothing to inspect
         raise AssertionError("no legal action")
     return max(cands)
+
+
+def fraction_decide(pol, state):
+    """CommittingPolicy's decision on a SearchState, with its stop test as a
+    Fraction compare: best >= sigma of the next box in the policy's order."""
+    remaining = [i for i in pol.order if i in state.uninspected]
+    best = state.best_open()
+    if best is not None and (not remaining or best[1] >= pol.sigmas[remaining[0]]):
+        return SelectOpen(best[0])
+    if not remaining:
+        return Halt()
+    return SelectClosed(remaining[0]) if remaining[0] in pol.reservation_set else Inspect(remaining[0])
+
+
+@functools.lru_cache(maxsize=None)
+def dp_table(inst):
+    """The public table of the (nonobligatory) DP on inst."""
+    return solve_dp(inst).table
+
+
+def state_decide(pol, state):
+    """pol's action on a hand-built SearchState, without the tree: a
+    callback's function, fraction_decide for a committing policy, and for a
+    (nonobligatory) DP policy the action its instance's public table holds
+    at the state's (uninspected set, best observed value) key."""
+    if isinstance(pol, CallbackPolicy):
+        return pol.fn(state)
+    if isinstance(pol, CommittingPolicy):
+        return fraction_decide(pol, state)
+    best = state.best_open()
+    kind, box = dp_table(pol.instance)[(state.uninspected, None if best is None else best[1])][0]
+    if kind == "inspect":
+        return Inspect(box)
+    if kind == "select_closed":
+        return SelectClosed(box)
+    return SelectOpen(best[0]) if kind == "select_open" else Halt()
 
 
 def random_batch(count: int, n_max: int, max_support: int, value_max: int = 10, seed0: int = 0):

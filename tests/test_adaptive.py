@@ -7,16 +7,17 @@ from pandora_search import adaptive
 from pandora_search import (
     Box,
     DiscreteDist,
-    IllegalActionError,
     Instance,
     NONOBLIGATORY,
     REQUIRED,
     SizeGuardError,
     dp_policy,
     evaluate_exact,
+    iter_traces,
     max_of_independents,
     profile,
     random_instance,
+    simulate,
     solve_dp,
     tight_example,
 )
@@ -234,5 +235,8 @@ class TestDPPolicy:
 
     def test_table_of_another_instance_fails_fast(self):
         pol = dp_policy(solve_dp(tight_example(10)))
-        with pytest.raises(IllegalActionError, match="not covered by the decision table"):
-            evaluate_exact(random_instance(2, 3, 10, seed=1), pol)
+        for other in (random_instance(2, 3, 10, seed=1), random_instance(3, 3, 10, seed=1)):
+            for run in (evaluate_exact, lambda i, p: simulate(i, p, trials=10, seed=0),
+                        lambda i, p: next(iter_traces(i, p))):
+                with pytest.raises(ValueError, match="built for another instance"):
+                    run(other, pol)

@@ -29,7 +29,7 @@ from pandora_search import (
 )
 from pandora_search import policies
 from pandora_search.policies import PolicyTree
-from conftest import forbid_kappa_laws, random_batch
+from conftest import forbid_kappa_laws, fraction_decide, random_batch, state_decide
 
 
 def d(*pairs):
@@ -196,9 +196,9 @@ def first_opened_policy(inst):
 def evaluate_fraction_reference(inst, pol):
     """evaluate_exact as a per-node Fraction accumulation: P(I_i) gathers the
     probability of every node that inspects box i and E[I_i c_i] = c_i P(I_i).
-    The recursion runs the policy on hand-built states (best_open found by a
-    scan), not on PolicyTree, so it checks the tree's integer weights and its
-    carried best as well."""
+    The recursion runs the policy's state-level reference (state_decide) on
+    hand-built states, not on PolicyTree, so it checks the tree's integer
+    weights and the node integers the built-in policies decide on as well."""
     n = inst.n
     prof = profile(inst)
     inspect_probs, select_probs = [0] * n, [0] * n
@@ -207,7 +207,7 @@ def evaluate_fraction_reference(inst, pol):
 
     def visit(state, prob):
         nonlocal paths
-        action = pol.decide(state)
+        action = state_decide(pol, state)
         if isinstance(action, Inspect):
             i = action.box
             inspect_probs[i] += prob
@@ -374,37 +374,24 @@ class TestOpenSelectionKeys:
         assert not_best > 0
 
 
-def fraction_decide(pol, state):
-    """CommittingPolicy.decide with its stop test as a Fraction compare,
-    best >= sigma of the next box in the policy's order."""
-    remaining = [i for i in pol.order if i in state.uninspected]
-    best = state.best_open()
-    if best is not None and (not remaining or best[1] >= pol.sigmas[remaining[0]]):
-        return SelectOpen(best[0])
-    if not remaining:
-        return Halt()
-    return SelectClosed(remaining[0]) if remaining[0] in pol.reservation_set else Inspect(remaining[0])
-
-
 class TestIntegerStopTest:
-    def test_matches_a_fraction_compare_on_hand_built_states(self):
-        # sigma_0 = 2, sigma_1 = -1 (its cost exceeds its mean), sigma_2 = 5/2
+    def test_matches_a_fraction_compare_at_every_node(self):
+        # sigma_1 = 3 (zero cost) and sigma_3 = 2 are values of the grid, so
+        # best observed values tie them; sigma_0 = 2 as well, sigma_2 = 5/2
         inst = Instance([Box(d((0, F(1, 2)), (4, F(1, 2))), 1),
-                         Box(d((1, 1)), 2),
-                         Box(d((1, F(1, 3)), (3, F(2, 3))), F(1, 3))])
-        assert profile(inst).sigmas == (2, -1, F(5, 2))
-        # ints and Fractions, on every sigma (ties) and on either side of it
-        values = [-1, 0, 2, 3, F(-1), F(2), F(5, 2), F(-8, 7), F(-6, 7), F(13, 7), F(15, 7), F(17, 7), F(18, 7)]
+                         Box(d((2, F(1, 2)), (3, F(1, 2))), 0),
+                         Box(d((1, F(1, 3)), (3, F(2, 3))), F(1, 3)),
+                         Box(d((2, F(1, 2)), (4, F(1, 2))), 1)])
+        assert profile(inst).sigmas == (2, 3, F(5, 2), 2)
+        # every sigma is a box's largest value, which it takes with p = 1/4
+        free = Instance([Box(d((v - 1, F(3, 4)), (v, F(1, 4))), 0) for v in (3, 3, 2, 2, 1)])
         ties = 0
-        for s in [(), (0,), (1,), (2,)]:
-            pol = CommittingPolicy(inst, s)
-            for first in range(inst.n):
-                for second in [None, *(j for j in range(inst.n) if j != first)]:
-                    for v in values:
-                        for w in values if second is not None else [None]:
-                            observed = ((first, v),) if second is None else ((first, v), (second, w))
-                            state = SearchState(observed, frozenset(range(inst.n)) - {i for i, _ in observed})
-                            assert pol.decide(state) == fraction_decide(pol, state), (s, observed)
-                            nxt = next((i for i in pol.order if i in state.uninspected), None)
-                            ties += nxt is not None and state.best_open()[1] == pol.sigmas[nxt]
-        assert ties > 0
+        for inst in (inst, free):
+            for s in [(), *((i,) for i in range(inst.n)), (0, 2)]:
+                pol = CommittingPolicy(inst, s)
+                for node, _ in PolicyTree(inst, pol).walk():
+                    state = node.state
+                    assert node.action == fraction_decide(pol, state), (s, state)
+                    nxt = next((i for i in pol.order if i in state.uninspected), None)
+                    ties += nxt is not None and state.observed != () and state.best_open()[1] == pol.sigmas[nxt]
+        assert ties > 5

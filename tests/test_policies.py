@@ -1,12 +1,16 @@
 """The execution tree's integer nodes against the SearchStates they stand for.
 
-Every node carries (mask, rank, best) and the built-in policies decide on
-those integers when the tree runs on their own instance.  These tests check,
-at every node, that the integers say what node.state says and that the
-integer action is the one decide gives on the state; that decide still runs
-once per node; that a policy on another instance decides on states; and that
-the legality monitor on the mask raises where a check on the state would.
+Every node carries (mask, rank, best), and every policy's decide gets the
+node: the built-in policies decide on its integers, a CallbackPolicy's
+function on node.state.  These tests check, at every node, that the integers
+say what node.state says and that the action is the one the policy's
+state-level reference (conftest.state_decide) gives on the state; that
+decide still runs once per node; that a built-in policy runs only on an
+instance equal to its own; and that the legality monitor on the mask raises
+where a check on the state would.
 """
+
+import pytest
 
 from pandora_search import (
     CallbackPolicy,
@@ -21,13 +25,15 @@ from pandora_search import (
     WeitzmanPolicy,
     dp_policy,
     evaluate_exact,
+    iter_traces,
     random_instance,
+    simulate,
     solve_dp,
     tight_example,
 )
 from pandora_search.adaptive import DecisionTablePolicy
-from pandora_search.policies import PolicyTree
-from conftest import random_batch, wide_instance
+from pandora_search.policies import Node, PolicyTree
+from conftest import fraction_decide, random_batch, state_decide, wide_instance
 
 
 def worst_opened(inst):
@@ -45,7 +51,7 @@ def all_policies(inst):
     weitzman = WeitzmanPolicy(inst)
     pols = [weitzman, dp_policy(solve_dp(inst))]
     pols += [CommittingPolicy(inst, {i}) for i in range(inst.n)]
-    pols += [CallbackPolicy(weitzman.decide), worst_opened(inst)]
+    pols += [CallbackPolicy(lambda state: fraction_decide(weitzman, state)), worst_opened(inst)]
     return pols
 
 
@@ -57,21 +63,19 @@ def instances():
 
 def check_nodes(inst, pol):
     """Asserts, at every node of the walk, that (mask, rank, best) are what
-    node.state gives, its best_open found by a scan of the observed values,
-    and that the node's action is decide on that state.  Returns the number
-    of nodes."""
+    node.state gives and that the node's action is state_decide on that
+    state.  Returns the number of nodes."""
     grid = inst.form.grid
     nodes = 0
     for node, _ in PolicyTree(inst, pol).walk():
-        state = SearchState(node.state.observed, node.state.uninspected)
+        state = node.state
         best = state.best_open()
-        assert node.state.best_open() == best
         assert node.mask == sum(1 << i for i in state.uninspected)
         if best is None:
             assert (node.rank, node.best) == (-1, None)
         else:
             assert (node.rank, node.best) == (grid.index(best[1]), best[0])
-        assert node.action == pol.decide(state), (state, node.action)
+        assert node.action == state_decide(pol, state), (state, node.action)
         nodes += 1
     return nodes
 
@@ -84,18 +88,23 @@ class TestNodeIntegers:
                 checked += check_nodes(inst, pol)
         assert checked > 30_000
 
-    def test_tree_passes_nodes_only_to_a_policy_of_its_own_instance(self):
+    def test_tree_passes_every_policy_its_node(self):
         inst = tight_example(10)
+        twin = Instance(inst.boxes)
         seen = []
-        own = WeitzmanPolicy(inst)
-        foreign = WeitzmanPolicy(tight_example(10))
-        for pol, kind in [(own, "Node"), (foreign, "SearchState"), (dp_policy(solve_dp(inst)), "Node"),
-                          (CallbackPolicy(own.decide), "SearchState")]:
+        for pol in (WeitzmanPolicy(inst), WeitzmanPolicy(twin), dp_policy(solve_dp(twin))):
             seen.clear()
             decide = pol.decide
-            pol.decide = lambda state, decide=decide: seen.append(type(state).__name__) or decide(state)
+            pol.decide = lambda node, decide=decide: seen.append(type(node)) or decide(node)
             list(PolicyTree(inst, pol).walk())
-            assert set(seen) == {kind}
+            assert set(seen) == {Node}
+        weitzman = WeitzmanPolicy(inst)
+        callback = CallbackPolicy(lambda state: seen.append(type(state)) or fraction_decide(weitzman, state))
+        seen.clear()
+        decide = callback.decide
+        callback.decide = lambda node: seen.append(type(node)) or decide(node)
+        list(PolicyTree(inst, callback).walk())
+        assert set(seen[::2]) == {Node} and set(seen[1::2]) == {SearchState}
 
 
 class TestDecideCalls:
@@ -118,18 +127,22 @@ class TestDecideCalls:
 
 
 class TestForeignInstance:
-    def test_committing_policy_on_another_instance_decides_on_states(self):
-        # Same and different box counts: on a state, boxes the instance
-        # lacks are never uninspected, so the policy passes over them.
+    def test_built_in_policy_on_another_instance_fails_fast(self):
+        # Same and different box counts: the tree refuses a policy of an
+        # unequal instance before deciding anything.
         pairs = 0
-        for k in range(40):
+        for k in range(12):
             built = random_instance(2 + k % 3, 3, 10, seed=3000 + k)
             run_on = random_instance(2 + k // 3 % 3, 3, 10, seed=4000 + k)
-            for s in [(), *((i,) for i in range(built.n))]:
-                pol = CommittingPolicy(built, s)
-                assert evaluate_exact(run_on, pol) == evaluate_exact(run_on, CallbackPolicy(pol.decide))
+            assert built != run_on
+            pols = [WeitzmanPolicy(built), dp_policy(solve_dp(built))]
+            for pol in pols + [CommittingPolicy(built, {i}) for i in range(built.n)]:
+                for run in (evaluate_exact, lambda i, p: simulate(i, p, trials=10, seed=0),
+                            lambda i, p: next(iter_traces(i, p))):
+                    with pytest.raises(ValueError, match="built for another instance"):
+                        run(run_on, pol)
                 pairs += 1
-        assert pairs > 150
+        assert pairs > 50
 
     def test_an_equal_instance_gives_the_same_result(self):
         inst = wide_instance(8, 1, supports=(6,))

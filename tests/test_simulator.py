@@ -32,6 +32,7 @@ from pandora_search import (
 import pandora_search.simulator as sim
 from pandora_search import policies
 from pandora_search.simulator import run_once
+from conftest import fraction_decide, state_decide
 
 # simulate rounds the exact sample mean and variance once (TestExactReport);
 # the per-trial reference's numpy float mean and std are the inexact side, so
@@ -140,7 +141,7 @@ def recording(inst, log):
     weitzman = WeitzmanPolicy(inst)
 
     def decide(state):
-        action = weitzman.decide(state)
+        action = fraction_decide(weitzman, state)
         log.append((state, action))
         return action
 
@@ -203,16 +204,17 @@ def per_trial_reference(case):
 
 
 def run_by_decide(inst, pol, values):
-    """run_once without the execution tree: the policy decides on hand-built
-    states (best_open found by a scan) until it stops inspecting."""
+    """run_once without the execution tree: the policy's state-level
+    reference (state_decide) decides on hand-built states until it stops
+    inspecting."""
     state = SearchState((), frozenset(range(inst.n)))
     cost = 0
-    action = pol.decide(state)
+    action = state_decide(pol, state)
     while isinstance(action, Inspect):
         i = action.box
         cost += inst.boxes[i].cost
         state = SearchState(state.observed + ((i, values[i]),), state.uninspected - {i})
-        action = pol.decide(state)
+        action = state_decide(pol, state)
     inspected = tuple(int(i not in state.uninspected) for i in range(inst.n))
     if isinstance(action, Halt):
         return -cost, inspected, None
