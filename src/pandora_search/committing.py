@@ -5,7 +5,9 @@ The optimal committing policy always lies in the (n+1)-element candidate set
 closed form E[max_i kappa~_i] rather than path enumeration.  All n+1
 candidates share the kappa laws except one box, so one merged-grid sweep with
 prefix and suffix products of the CDFs scores them all in O(n G) integer
-operations, G being the size of the merged kappa grid.
+operations, G being the size of the merged kappa grid.  Each box's kappa CDF
+row is built from its support, scaled probabilities and sigma; no kappa law is
+built as a DiscreteDist.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import FrozenSet, List, Tuple
+from itertools import accumulate
+from math import gcd, prod
+from typing import FrozenSet, List, Sequence, Tuple
 
 from . import reservation
-from .core import Instance, Num, scaled, scaled_cdfs, value_grid
+from .core import Instance, Num, scaled
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,33 @@ class CommittingSolution:
     upper_bound: Num  # E[max(max_i E[v_i], max_j kappa_j)], above every policy's value
 
 
+def _kappa_cdfs(inst: Instance, sigmas: Sequence[Num]) -> Tuple[List[Num], List[Tuple[int, List[int]]]]:
+    """The merged grid of the kappa_j = min(v_j, sigma_j) values, and each
+    kappa CDF row on it as core.scaled_cdfs gives it for the kappa law, but
+    built from the box's support and sigma_j: with d_j the lcm of its
+    probability denominators, the row is d_j P(v_j <= t) below sigma_j and
+    d_j from sigma_j up, divided by gcd(d_j, row), so the denominator is the
+    kappa law's, not the value law's."""
+    laws = []
+    for box, sigma in zip(inst.boxes, sigmas):
+        support = box.dist.support
+        d, weights = scaled([p for _, p in support])
+        # sigma is at most the top value, so the mass collapsed onto it is positive
+        law = [(v, w) for (v, _), w in zip(support, weights) if v < sigma]
+        law.append((sigma, d - sum(w for _, w in law)))
+        laws.append((d, law))
+    grid = sorted({k for _, law in laws for k, _ in law})
+    rank = {k: r for r, k in enumerate(grid)}
+    cdfs = []
+    for d, law in laws:
+        g = gcd(d, *(w for _, w in law))
+        masses = [0] * len(grid)
+        for k, w in law:
+            masses[rank[k]] = w // g
+        cdfs.append((d // g, list(accumulate(masses))))
+    return grid, cdfs
+
+
 def best_committing(inst: Instance) -> CommittingSolution:
     """Score the empty set and all singletons in one pass; ties break toward
     the empty set, then the lowest index.
@@ -39,20 +69,19 @@ def best_committing(inst: Instance) -> CommittingSolution:
     E[max(e_i, Y_i)] = e_i + sum_t P(Y_i = t) (t - e_i)^+, where
     Y_i = max_{j != i} kappa_j has the CDF (prod_{j<i} F_j)(prod_{j>i} F_j),
     a running prefix product times a stored suffix product.  The sums run in
-    integers: each F_j scaled by its probability denominator d_j (see
-    core.scaled_cdfs), and grid values and e_i together by core.scaled.
-    O(n G) products for a grid of G points.
+    integers: each F_j scaled by its probability denominator (_kappa_cdfs),
+    and grid values and e_i together by core.scaled.  O(n G) products for a
+    grid of G points.
 
     upper_bound is the paper's coupling bound E[max(max_i e_i, max_j kappa_j)]:
     every policy's u_phi lies below it pointwise, so
     best_value <= optimum <= upper_bound, and where the two meet best_value is
     the optimum.  It is one more E[max] on suffix[0], the CDF of max_j kappa_j.
     """
-    prof = reservation.profile(inst)
-    evs = prof.expected_values
-    grid = value_grid(prof.kappa_dists)
-    cdfs = scaled_cdfs(prof.kappa_dists, grid)
-    scale, ints = scaled(grid + list(evs))
+    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
+    evs = [box.dist.expectation() for box in inst.boxes]
+    grid, cdfs = _kappa_cdfs(inst, sigmas)
+    scale, ints = scaled(grid + evs)
     points, evs_scaled = ints[:len(grid)], ints[len(grid):]
 
     def expected_max(floor: int, cdf: List[int], den: int) -> Fraction:

@@ -28,8 +28,11 @@ class SizeGuardError(RuntimeError):
 
 
 def as_num(x) -> Num:
-    """Canonicalize a numeric literal: ints and Fractions become Fractions;
+    """Canonicalize a numeric literal: a Fraction comes back as is (fractions
+    are immutable), ints and Fraction subclasses become plain Fractions;
     anything else, floats included, raises TypeError."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"unsupported numeric type {type(x).__name__}: use int or Fraction")
@@ -57,9 +60,10 @@ class DiscreteDist:
             merged[v] = merged.get(v, 0) + p
         if not merged:
             raise InvalidDistributionError("distribution has empty support")
-        total = sum(merged.values())
-        if total != 1:
-            raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
+        den, weights = scaled(list(merged.values()))
+        total = sum(weights)
+        if total != den:
+            raise InvalidDistributionError(f"probabilities sum to {Fraction(total, den)}, not 1")
         self._support = tuple(sorted(merged.items()))
 
     @classmethod
@@ -80,7 +84,11 @@ class DiscreteDist:
         return self._support[0][0]
 
     def expectation(self) -> Num:
-        return sum(v * p for v, p in self._support)
+        """E[X] as one Fraction: values and probabilities each on their own
+        integer scale (scaled), summed as integers."""
+        den, probs = scaled(self.probs())
+        scale, values = scaled(self.values())
+        return Fraction(sum(v * p for v, p in zip(values, probs)), scale * den)
 
     def cdf_at(self, t: Num) -> Num:
         """P(X <= t)."""

@@ -10,31 +10,42 @@ top.  Two edge conventions:
   support value, as the scan's first piece p v_max / p gives, so kappa = v.
 * c >= E[v]: the solution lies in the linear region below the support minimum,
   sigma = E[v] - c, and may be negative.  No clamping is applied.
+
+The scan runs on integers and builds one Fraction.  profile builds each box's
+kappa law as a DiscreteDist, for `pandora profile`, twobox, reduction and the
+closed-form oracle; committing.best_committing builds its kappa CDF rows from
+sigma and the support without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Tuple
 
-from .core import Box, DiscreteDist, Instance, Num
+from .core import Box, DiscreteDist, Instance, Num, scaled
 
 
 def reservation_value(box: Box) -> Num:
-    """Solve E[(v - sigma)^+] = cost for sigma."""
-    c = box.cost
+    """Solve E[(v - sigma)^+] = cost for sigma.
+
+    The scan runs in integers: probabilities on their scale d, values and
+    the cost together on theirs, L (core.scaled).  With tail = {values >= v_i},
+    tail_p = d P(tail) and tail_s = d L E[v; tail], excess on [v_{i-1}, v_i)
+    is (tail_s - s L tail_p) / (d L), so sigma = (tail_s - d L c) /
+    (L tail_p), one Fraction built at the piece that holds it."""
     support = box.dist.support
+    den, probs = scaled([p for _, p in support])
+    scale, ints = scaled([*(v for v, _ in support), box.cost])
+    cost = ints.pop() * den
     tail_p = 0
     tail_s = 0
-    # On [low, v_i) with tail = {values >= v_i}: excess(s) = tail_s - s * tail_p.
-    for i in range(len(support) - 1, -1, -1):
-        v, p = support[i]
-        tail_p += p
-        tail_s += p * v
-        low = support[i - 1][0] if i > 0 else None
-        sigma = (tail_s - c) / tail_p
-        if low is None or sigma >= low:
-            return sigma
+    for i in range(len(ints) - 1, -1, -1):
+        tail_p += probs[i]
+        tail_s += probs[i] * ints[i]
+        # sigma >= v_{i-1}, the piece's lower end (none below the support)
+        if i == 0 or tail_s - cost >= ints[i - 1] * tail_p:
+            return Fraction(tail_s - cost, tail_p * scale)
     raise AssertionError("unreachable: excess is unbounded below the support")
 
 
@@ -48,6 +59,7 @@ class ReservationProfile:
 
 
 def profile(inst: Instance) -> ReservationProfile:
+    """Each box's sigma, kappa law (DiscreteDist.min_with) and E[v]."""
     sigmas = []
     kappas = []
     evs = []

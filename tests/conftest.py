@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from math import prod
+
+from hypothesis import strategies as st
 
 from pandora_search import (Box, CallbackPolicy, CommittingPolicy, DiscreteDist, Halt, Inspect, Instance,
                             SelectClosed, SelectOpen, random_instance, reservation, solve_dp)
+from pandora_search.committing import CommittingSolution
+from pandora_search.core import scaled, scaled_cdfs, value_grid
 
 
 def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True):
@@ -91,6 +97,80 @@ def wide_instance(n, seed, supports=(5, 6), cost_scale=Fraction(1, 4), value_max
         dist = DiscreteDist((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
         boxes.append(Box(dist, dist.expectation() * cost_scale * Fraction(rng.randint(0, 8), 8)))
     return Instance(boxes)
+
+
+def weighted_box(pairs, quarter_cost):
+    total = sum(w for _, w in pairs)
+    return Box(DiscreteDist((v, Fraction(w, total)) for v, w in pairs), Fraction(quarter_cost, 4))
+
+
+# Nonnegative prizes on 0..10 with costs on a quarter grid up to 10: zero
+# costs, costs above the mean (negative sigma) and point masses are common.
+drawn_boxes = st.builds(
+    weighted_box,
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 5)), min_size=1, max_size=3),
+    st.integers(0, 40),
+)
+
+
+def fraction_reservation_value(box):
+    """sigma by a Fraction scan of the support pieces from the top: on the
+    first piece [v_{i-1}, v_i] holding it, sigma = (E[v; v >= v_i] - c) /
+    P(v >= v_i)."""
+    support = box.dist.support
+    tail_p = 0
+    tail_s = 0
+    for i in range(len(support) - 1, -1, -1):
+        v, p = support[i]
+        tail_p += p
+        tail_s += p * v
+        sigma = (tail_s - box.cost) / tail_p
+        if i == 0 or sigma >= support[i - 1][0]:
+            return sigma
+
+
+def fraction_expectation(dist):
+    """E[X] as a sum of Fraction products."""
+    return sum(v * p for v, p in dist.support)
+
+
+def profile_best_committing(inst):
+    """best_committing from the kappa laws as DiscreteDists (min_with of the
+    Fraction sigma), core.scaled_cdfs on their merged grid, and the same
+    prefix/suffix sweep: the reference for the integer rows."""
+    kappas = [box.dist.min_with(fraction_reservation_value(box)) for box in inst.boxes]
+    evs = [fraction_expectation(box.dist) for box in inst.boxes]
+    grid = value_grid(kappas)
+    cdfs = scaled_cdfs(kappas, grid)
+    scale, ints = scaled(grid + evs)
+    points, evs_scaled = ints[:len(grid)], ints[len(grid):]
+
+    def expected_max(floor, cdf, den):
+        k = bisect_right(points, floor)
+        excess = 0
+        prev = cdf[k - 1]
+        for t, c in zip(points[k:], cdf[k:]):
+            excess += (c - prev) * (t - floor)
+            prev = c
+        return Fraction(floor * den + excess, scale * den)
+
+    suffix = [[1] * len(grid)]
+    for _, row in reversed(cdfs):
+        suffix.append([a * b for a, b in zip(row, suffix[-1])])
+    suffix.reverse()
+    total_den = prod(d for d, _ in cdfs)
+    values = [(frozenset(), expected_max(points[0], suffix[0], total_den))]
+    prefix = [1] * len(grid)
+    for i, (d, row) in enumerate(cdfs):
+        others = [a * b for a, b in zip(prefix, suffix[i + 1])]
+        values.append((frozenset({i}), expected_max(evs_scaled[i], others, total_den // d)))
+        prefix = [a * b for a, b in zip(prefix, row)]
+    best_set, best_value = values[0]
+    for s, v in values[1:]:
+        if v > best_value:
+            best_set, best_value = s, v
+    return CommittingSolution(best_set, best_value, tuple(values), values[0][1], max(evs),
+                              expected_max(max(evs_scaled), suffix[0], total_den))
 
 
 def forbid_kappa_laws(monkeypatch):

@@ -1,8 +1,9 @@
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pandora_search import (
     Box,
@@ -17,10 +18,13 @@ from pandora_search import (
     modified_instance,
     profile,
     random_instance,
+    reservation_value,
     solve_dp,
     tight_example,
 )
-from conftest import forbid_kappa_laws, random_batch
+from pandora_search.committing import _kappa_cdfs
+from pandora_search.core import scaled_cdfs, value_grid
+from conftest import drawn_boxes, forbid_kappa_laws, profile_best_committing, random_batch
 
 
 def d(*pairs):
@@ -184,20 +188,6 @@ def coupling_oracle(inst):
     return max_of_independents([*prof.kappa_dists, point]).expectation()
 
 
-def weighted_box(pairs, quarter_cost):
-    total = sum(w for _, w in pairs)
-    return Box(d(*((v, F(w, total)) for v, w in pairs)), F(quarter_cost, 4))
-
-
-# Nonnegative prizes on 0..10 with costs on a quarter grid up to 10, so a
-# cost above the mean (negative sigma) is common.
-drawn_boxes = st.builds(
-    weighted_box,
-    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 5)), min_size=1, max_size=3),
-    st.integers(0, 40),
-)
-
-
 class TestCouplingBound:
     """best_value <= optimum <= upper_bound, the paper's coupling bound, with
     the optimum from the DP and the bound from an independent oracle; where
@@ -230,3 +220,60 @@ class TestCouplingBound:
     @pytest.mark.parametrize("big_n", [2, 3, 10, 1000])
     def test_tight_example_is_never_certified(self, big_n):
         assert not self.check(tight_example(big_n))
+
+
+def check_against_profile(inst):
+    """The kappa rows are scaled_cdfs of the kappa laws, integer for integer;
+    every CommittingSolution field == the profile-based reference's, and every
+    value is a Fraction."""
+    prof = profile(inst)
+    grid = value_grid(prof.kappa_dists)
+    assert _kappa_cdfs(inst, prof.sigmas) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
+    sol, ref = best_committing(inst), profile_best_committing(inst)
+    for field in fields(sol):
+        assert getattr(sol, field.name) == getattr(ref, field.name), (inst, field.name)
+    values = [sol.best_value, sol.baseline_policy_a, sol.baseline_policy_b, sol.upper_bound]
+    values += [v for _, v in sol.candidate_values]
+    assert all(type(v) is F for v in values), inst
+
+
+# sigma = 2, a support value: (4 - 2) / 4 = 1/2
+SIGMA_ON_SUPPORT = Box(d((0, F(1, 2)), (2, F(1, 4)), (4, F(1, 4))), F(1, 2))
+
+
+class TestIntegerKappaRows:
+    """best_committing builds each kappa CDF row from the box's support and
+    sigma; the reference builds the kappa laws as DiscreteDists."""
+
+    def test_criterion_batch(self):
+        for inst in random_batch(500, 4, 3, seed0=2000):
+            check_against_profile(inst)
+
+    @settings(deadline=None)
+    @given(st.lists(drawn_boxes, min_size=1, max_size=5).map(Instance))
+    # a zero-cost box, a cost above the mean (sigma = -1) and a point mass
+    @example(Instance([Box(d((0, F(1, 2)), (3, F(1, 2))), 0), Box(d((2, F(1, 3)), (5, F(2, 3))), 5)]))
+    @example(Instance([Box(d((7, 1)), F(5, 4)), Box(d((1, F(1, 2)), (6, F(1, 2))), F(1, 4))]))
+    def test_drawn_instances(self, inst):
+        check_against_profile(inst)
+
+    def test_sigma_on_a_support_value(self):
+        assert reservation_value(SIGMA_ON_SUPPORT) == 2
+        for inst in [Instance([SIGMA_ON_SUPPORT]), Instance([SIGMA_ON_SUPPORT, *tight_example(10).boxes]),
+                     Instance([*random_instance(3, 4, 10, seed=5).boxes, SIGMA_ON_SUPPORT])]:
+            check_against_profile(inst)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_wide_instances(self, n):
+        check_against_profile(random_instance(n, 4, 10, seed=0))
+
+    @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
+    def test_builds_no_profile_and_no_distribution(self, inst, monkeypatch):
+        expected = profile_best_committing(inst)
+
+        def forbidden(*args):
+            raise AssertionError("built a DiscreteDist")
+
+        forbid_kappa_laws(monkeypatch)
+        monkeypatch.setattr(DiscreteDist, "__init__", forbidden)
+        assert best_committing(inst) == expected

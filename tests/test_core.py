@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from pandora_search import (Box, DiscreteDist, Instance, adaptive, cli, committing, core, evaluator,
                             max_of_independents, policies, random_instance, simulator, tight_example)
-from pandora_search.core import InvalidDistributionError, scaled, value_grid
-from conftest import expected_excess
+from pandora_search.core import InvalidDistributionError, as_num, scaled, value_grid
+from conftest import drawn_boxes, expected_excess, fraction_expectation
 
 
 def d(*pairs):
@@ -49,7 +49,7 @@ class TestDiscreteDist:
         assert a == DiscreteDist([(0, F(1, 2)), (2, F(1, 2))])
 
     def test_rejects_bad_probability_sum(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match="^probabilities sum to 5/6, not 1$"):
             DiscreteDist([(0, F(1, 2)), (1, F(1, 3))])
 
     def test_rejects_negative_probability(self):
@@ -132,6 +132,27 @@ def test_min_with_expectation_identity(dd, sigma):
 def test_rational_arithmetic_is_exact(a, b):
     x, y = a.expectation(), b.expectation()
     assert (x + y) - y == x
+
+
+@given(st.one_of(small_dists, drawn_boxes.map(lambda box: box.dist)))
+def test_expectation_equals_a_fraction_sum(dd):
+    mean = dd.expectation()
+    assert mean == fraction_expectation(dd)
+    assert type(mean) is F
+
+
+class TestAsNum:
+    def test_fraction_comes_back_as_is(self):
+        x = F(3, 7)
+        assert as_num(x) is x
+
+    def test_int_and_fraction_subclass_become_plain_fractions(self):
+        class Sub(F):
+            pass
+
+        for x in (5, True, Sub(3, 7)):
+            y = as_num(x)
+            assert type(y) is F and y == x
 
 
 class TestScaled:

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-import pytest
+from hypothesis import example, given
 
 from pandora_search import (
     Box,
@@ -17,7 +17,7 @@ from pandora_search import (
     reservation_value,
     tight_example,
 )
-from conftest import amortized_bound, expected_excess
+from conftest import amortized_bound, drawn_boxes, expected_excess, fraction_reservation_value
 
 
 def d(*pairs):
@@ -61,6 +61,16 @@ class TestReservationValue:
         dist = d((0, F(1, 3)), (4, F(1, 3)), (9, F(1, 3)))
         sigmas = [reservation_value(Box(dist, c)) for c in (0, F(1, 2), 1, 2, 4, 6)]
         assert sigmas == sorted(sigmas, reverse=True)
+
+    @given(drawn_boxes)
+    # cost 0, cost above the mean (sigma = -1), and a point mass whose cost is its value
+    @example(Box(d((0, F(1, 2)), (3, F(1, 2))), 0))
+    @example(Box(d((2, F(1, 3)), (5, F(2, 3))), 5))
+    @example(Box(d((7, 1)), 7))
+    def test_integer_scan_equals_fraction_scan(self, box):
+        sigma = reservation_value(box)
+        assert sigma == fraction_reservation_value(box)
+        assert type(sigma) is F
 
     def test_brute_force_grid_oracle(self):
         # scan candidate sigma on a fine grid and bracket the root
