@@ -5,9 +5,10 @@ The optimal committing policy always lies in the (n+1)-element candidate set
 closed form E[max_i kappa~_i] rather than path enumeration.  All n+1
 candidates share the kappa laws except one box, so one merged-grid sweep with
 prefix and suffix products of the CDFs scores them all in O(n G) integer
-operations, G being the size of the merged kappa grid.  Each box's kappa CDF
-row is built from its support, scaled probabilities and sigma; no kappa law is
-built as a DiscreteDist.
+operations, G being the size of the merged kappa grid.  Each box's sigma and
+E[v] are read from the instance's integer form (core.IntegerForm), and its
+kappa CDF row is built from the form's ranked support, scaled probabilities
+and sigma; no kappa law is built as a DiscreteDist.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
-from . import reservation
-from .core import Instance, Num, scaled
+from .core import Instance, IntegerForm, Num, scaled
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,17 @@ class CommittingSolution:
     upper_bound: Num  # E[max(max_i E[v_i], max_j kappa_j)], above every policy's value
 
 
-def _kappa_cdfs(inst: Instance, sigmas: Sequence[Num]) -> Tuple[List[Num], List[Tuple[int, List[int]]]]:
+def _kappa_cdfs(form: IntegerForm) -> Tuple[List[Num], List[Tuple[int, List[int]]]]:
     """The merged grid of the kappa_j = min(v_j, sigma_j) values, and each
     kappa CDF row on it as core.scaled_cdfs gives it for the kappa law, but
-    built from the box's support and sigma_j: with d_j the lcm of its
-    probability denominators, the row is d_j P(v_j <= t) below sigma_j and
-    d_j from sigma_j up, divided by gcd(d_j, row), so the denominator is the
-    kappa law's, not the value law's."""
+    built from the form's (rank, p * d_j) pairs and sigma_j: the row is
+    d_j P(v_j <= t) below sigma_j and d_j from sigma_j up, divided by
+    gcd(d_j, row), so the denominator is the kappa law's, not the value
+    law's."""
     laws = []
-    for box, sigma in zip(inst.boxes, sigmas):
-        support = box.dist.support
-        d, weights = scaled([p for _, p in support])
+    for (d, pairs), sigma in zip(form.boxes, form.sigmas):
         # sigma is at most the top value, so the mass collapsed onto it is positive
-        law = [(v, w) for (v, _), w in zip(support, weights) if v < sigma]
+        law = [(form.grid[r], w) for r, w in pairs if form.grid[r] < sigma]
         law.append((sigma, d - sum(w for _, w in law)))
         laws.append((d, law))
     grid = sorted({k for _, law in laws for k, _ in law})
@@ -78,10 +76,9 @@ def best_committing(inst: Instance) -> CommittingSolution:
     best_value <= optimum <= upper_bound, and where the two meet best_value is
     the optimum.  It is one more E[max] on suffix[0], the CDF of max_j kappa_j.
     """
-    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
-    evs = [box.dist.expectation() for box in inst.boxes]
-    grid, cdfs = _kappa_cdfs(inst, sigmas)
-    scale, ints = scaled(grid + evs)
+    evs = inst.form.expected_values
+    grid, cdfs = _kappa_cdfs(inst.form)
+    scale, ints = scaled([*grid, *evs])
     points, evs_scaled = ints[:len(grid)], ints[len(grid):]
 
     def expected_max(floor: int, cdf: List[int], den: int) -> Fraction:

@@ -195,35 +195,66 @@ class Box:
             raise ValueError(f"inspection cost must be nonnegative, got {self.cost}")
 
 
+def reservation_scan(support: Sequence[Tuple[int, int]], cost: int, scale: int) -> Fraction:
+    """Solve E[(v - sigma)^+] = c for sigma on integers: support is a box's
+    (v L, p d) pairs in ascending order, d the scale of its probabilities and
+    L one its values share with c, and cost is c d L.  With tail = {values
+    >= v_i}, tail_p = d P(tail) and tail_s = d L E[v; tail], excess on
+    [v_{i-1}, v_i) is (tail_s - s L tail_p) / (d L), so sigma is
+    (tail_s - cost) / (L tail_p), one Fraction built at the piece holding it."""
+    tail_p = 0
+    tail_s = 0
+    for i in range(len(support) - 1, -1, -1):
+        v, w = support[i]
+        tail_p += w
+        tail_s += w * v
+        # sigma >= v_{i-1}, the piece's lower end (none below the support)
+        if i == 0 or tail_s - cost >= support[i - 1][0] * tail_p:
+            return Fraction(tail_s - cost, tail_p * scale)
+    raise AssertionError("unreachable: excess is unbounded below the support")
+
+
 class IntegerForm:
     """An instance as the integers that adaptive.solve_dp and
     policies.PolicyTree compute on, built once per instance (Instance.form).
 
-    grid is the sorted distinct support values of every box (value_grid): a
-    value is its rank there, equal values of different boxes share a rank,
-    and a running best is a max of ranks.  boxes holds, per box, d_i, the lcm
-    of its probability denominators (scaled), and its support in order as
-    (rank, p * d_i) pairs; weight is prod_i d_i.  scale, L, is the lcm of the
-    denominators of every grid value, mean E[v_i] and cost, and values, means
-    and costs are those numbers times L.  So the value of a DP state (U, best)
-    is an integer once multiplied by L * prod_{i in U} d_i: inspecting i
-    scores -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every
-    candidate compare is an integer compare."""
+    grid is the sorted distinct support values of every box (value_grid),
+    found by their integers on one scale: a value is its rank there, equal
+    values share a rank, and a running best is a max of ranks.  boxes holds,
+    per box, d_i, the lcm of its probability denominators (scaled), and its
+    support as (rank, p * d_i) pairs; weight is prod_i d_i.  expected_values
+    and sigmas (reservation_scan) are the only E[v_i] and sigma_i that every
+    reader takes.  scale, L, is the lcm of the denominators of every grid
+    value, mean and cost; values, means and costs are those times L.  So the
+    value of a DP state (U, best) is an integer once multiplied by
+    L * prod_{i in U} d_i: inspecting i scores -c_i L prod_U d +
+    sum_v (p_v d_i) V(U - {i}, best'), and every candidate compare is an
+    integer compare."""
 
     def __init__(self, inst: "Instance"):
-        dists = [box.dist for box in inst.boxes]
-        self.grid = value_grid(dists)
-        rank = {v: r for r, v in enumerate(self.grid)}
+        supports = [box.dist.support for box in inst.boxes]
+        flat = [v for support in supports for v, _ in support]
+        unit, ints = scaled(flat)
+        value_of = dict(zip(ints, flat))  # keyed by ints: no Fraction is hashed
+        rank = {k: r for r, k in enumerate(sorted(value_of))}
+        self.grid = [value_of[k] for k in rank]
         boxes = []
-        for dist in dists:
-            d, weights = scaled(dist.probs())
-            boxes.append((d, tuple((rank[v], w) for v, w in zip(dist.values(), weights))))
+        means = []
+        it = iter(ints)
+        for support in supports:
+            d, weights = scaled([p for _, p in support])
+            row = [(next(it), w) for w in weights]
+            boxes.append((d, tuple((rank[v], w) for v, w in row)))
+            means.append(Fraction(sum(v * w for v, w in row), unit * d))
         self.boxes: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(boxes)
         self.weight = prod(d for d, _ in boxes)
-        means = [dist.expectation() for dist in dists]
+        self.expected_values: Tuple[Fraction, ...] = tuple(means)
         self.scale, ints = scaled([*self.grid, *means, *(box.cost for box in inst.boxes)])
-        g, n = len(self.grid), len(dists)
+        g, n = len(self.grid), len(supports)
         self.values, self.means, self.costs = ints[:g], ints[g:g + n], ints[g + n:]
+        self.sigmas: Tuple[Fraction, ...] = tuple(
+            reservation_scan([(self.values[r], w) for r, w in pairs], cost * d, self.scale)
+            for (d, pairs), cost in zip(boxes, self.costs))
 
 
 @dataclass(frozen=True)

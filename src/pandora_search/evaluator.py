@@ -11,13 +11,13 @@ The walk carries integer weights, each node's probability times the tree's
 scale (the product of the boxes' probability denominators), so enumeration
 adds and multiplies only ints, and it enforces the path guard (PathLimitError
 past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
-(box, rank of the observed value in the tree's value grid) for open
-selections, and builds each result's Fraction once from those sums, reading
-each value from the grid.  It reads each node's integers (action, best box
-and rank), as the built-in policies do, so a node's SearchState is built
-only for a CallbackPolicy, whose function gets node.state, or for an open
-selection of a box other than the best; iter_traces reads every leaf's
-state for its Trace.
+(box, grid rank of the observed value) for open selections, and builds each
+result's Fraction once from those sums, with values from the grid and each
+box's E[v] and sigma from the instance's integer form (core.IntegerForm).
+It reads each node's integers (action, best box and rank), as the built-in
+policies do, so a node's SearchState is built only for a CallbackPolicy,
+whose function gets node.state, or for an open selection of a box other than
+the best; iter_traces reads every leaf's state for its Trace.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     built once from these sums, and E[I_i c_i] = c_i P(I_i)."""
     n = inst.n
     tree = PolicyTree(inst, pol)
-    grid = inst.form.grid
+    grid, sigmas, means = inst.form.grid, inst.form.sigmas, inst.form.expected_values
     inspected = [0] * n
     closed = [0] * n
     opened: Dict[Tuple[int, int], int] = {}  # (box, grid rank) -> weight
@@ -86,10 +86,9 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
         elif not isinstance(action, Halt):
             closed[action.box] += weight
 
-    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
     scale = tree.scale
     selected = list(closed)
-    value = [w * box.dist.expectation() for w, box in zip(closed, inst.boxes)]
+    value = [w * mean for w, mean in zip(closed, means)]
     amortized = list(value)
     for (i, r), w in opened.items():
         v = grid[r]

@@ -14,14 +14,14 @@ is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
 which only constrains values strictly above sigma.
 
 PolicyTree is the one engine that executes policies, on the instance's
-integer form (core.IntegerForm): one depth-first traversal builds each reached
-node once, splits the weight it carries at each inspecting node (integer
-probabilities for exact evaluation, sampled outcomes for the simulator) and
-counts terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its
-information state as integers (Node), and every policy's decide gets the
-node: the built-in policies read its integers and run only on an instance
-equal to their own, while a CallbackPolicy's function gets node.state, a
-SearchState built only when read.
+integer form (core.IntegerForm), which also holds the sigma and E[v] that
+CommittingPolicy and a closed selection's payoff read: one depth-first
+traversal builds each reached node once, splits the weight it carries at
+each inspecting node (integer probabilities or sampled outcomes) and counts
+terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its state
+as integers (Node), and every policy's decide gets the node: the built-in
+policies read its integers and run only on an instance equal to their own,
+while a CallbackPolicy's function gets node.state, built only when read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
 from .core import Instance, Num, SizeGuardError
-from . import reservation
 
 PATH_LIMIT = 10_000_000
 
@@ -168,7 +167,6 @@ class PolicyTree:
     def __init__(self, inst: Instance, pol: Policy):
         if pol.instance is not None and pol.instance is not inst and pol.instance != inst:
             raise ValueError("the policy was built for another instance")
-        self.instance = inst
         self.policy = pol
         self.form = form = inst.form
         self._grid, self._boxes, self._costs = form.grid, form.boxes, form.costs  # read at every node
@@ -242,7 +240,7 @@ class PolicyTree:
         if isinstance(action, SelectOpen):
             value = dict(node.state.observed)[action.box]
         elif isinstance(action, SelectClosed):
-            value = self.instance.boxes[action.box].dist.expectation()
+            value = self.form.expected_values[action.box]
         else:
             value = 0
         return value - Fraction(node.cost, self.form.scale)
@@ -281,12 +279,12 @@ class CommittingPolicy(Policy):
         self.reservation_set = frozenset(reservation_set)
         if not self.reservation_set <= set(range(inst.n)):
             raise ValueError("reservation set contains unknown box indices")
-        self.sigmas = tuple(
-            box.dist.expectation() if i in self.reservation_set else reservation.reservation_value(box)
-            for i, box in enumerate(inst.boxes))
+        form = inst.form
+        self.sigmas = tuple(form.expected_values[i] if i in self.reservation_set else form.sigmas[i]
+                            for i in range(inst.n))
         self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
         self.instance = inst
-        self._stop_ranks = [bisect_left(inst.form.grid, s) for s in self.sigmas]
+        self._stop_ranks = [bisect_left(form.grid, s) for s in self.sigmas]
         # A box of S is "inspected" by selecting it closed: simulation sees
         # E[v] = sigma there and stops at once.
         self._next = [SelectClosed(i) if i in self.reservation_set else Inspect(i) for i in range(inst.n)]

@@ -79,8 +79,7 @@ def phi_value_bound(inst: Instance, pol: Policy) -> Tuple[Num, Num]:
     """(u_pi, u_phi): the policy's exact utility and the value of its image
     in the associated problem under the kappa-coupling, u_phi = E[max kappa~].
     u_phi >= u_pi for every policy."""
-    sigmas = [reservation.reservation_value(box) for box in inst.boxes]
-    means = [box.dist.expectation() for box in inst.boxes]
+    sigmas, means = inst.form.sigmas, inst.form.expected_values
     u_pi = 0
     u_phi = 0
     for tr in iter_traces(inst, pol):

@@ -11,42 +11,28 @@ top.  Two edge conventions:
 * c >= E[v]: the solution lies in the linear region below the support minimum,
   sigma = E[v] - c, and may be negative.  No clamping is applied.
 
-The scan runs on integers and builds one Fraction.  profile builds each box's
-kappa law as a DiscreteDist, for `pandora profile`, twobox, reduction and the
-closed-form oracle; committing.best_committing builds its kappa CDF rows from
-sigma and the support without it.
+The integer scan (core.reservation_scan) runs once per box in the integer
+form (core.IntegerForm), which holds sigma and E[v] for every reader, and in
+reservation_value on a lone box, as twobox's mirror box is.  profile builds
+each box's kappa law as a DiscreteDist from the form's sigma, for `pandora
+profile`, twobox, reduction and the closed-form oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
-from .core import Box, DiscreteDist, Instance, Num, scaled
+from .core import Box, DiscreteDist, Instance, Num, reservation_scan, scaled
 
 
 def reservation_value(box: Box) -> Num:
-    """Solve E[(v - sigma)^+] = cost for sigma.
-
-    The scan runs in integers: probabilities on their scale d, values and
-    the cost together on theirs, L (core.scaled).  With tail = {values >= v_i},
-    tail_p = d P(tail) and tail_s = d L E[v; tail], excess on [v_{i-1}, v_i)
-    is (tail_s - s L tail_p) / (d L), so sigma = (tail_s - d L c) /
-    (L tail_p), one Fraction built at the piece that holds it."""
+    """Solve E[(v - sigma)^+] = cost for sigma: core.reservation_scan on the
+    box's own integers (core.scaled)."""
     support = box.dist.support
     den, probs = scaled([p for _, p in support])
-    scale, ints = scaled([*(v for v, _ in support), box.cost])
-    cost = ints.pop() * den
-    tail_p = 0
-    tail_s = 0
-    for i in range(len(ints) - 1, -1, -1):
-        tail_p += probs[i]
-        tail_s += probs[i] * ints[i]
-        # sigma >= v_{i-1}, the piece's lower end (none below the support)
-        if i == 0 or tail_s - cost >= ints[i - 1] * tail_p:
-            return Fraction(tail_s - cost, tail_p * scale)
-    raise AssertionError("unreachable: excess is unbounded below the support")
+    scale, ints = scaled([*(v for v, _ in support), box.cost])  # the cost last, past zip's end
+    return reservation_scan(list(zip(ints, probs)), ints[-1] * den, scale)
 
 
 @dataclass(frozen=True)
@@ -59,16 +45,11 @@ class ReservationProfile:
 
 
 def profile(inst: Instance) -> ReservationProfile:
-    """Each box's sigma, kappa law (DiscreteDist.min_with) and E[v]."""
-    sigmas = []
-    kappas = []
-    evs = []
-    for box in inst.boxes:
-        sigma = reservation_value(box)
-        sigmas.append(sigma)
-        kappas.append(box.dist.min_with(sigma))
-        evs.append(box.dist.expectation())
-    return ReservationProfile(tuple(sigmas), tuple(kappas), tuple(evs))
+    """Each box's sigma and E[v], read from the instance's integer form, and
+    its kappa law (DiscreteDist.min_with)."""
+    form = inst.form
+    kappas = tuple(box.dist.min_with(sigma) for box, sigma in zip(inst.boxes, form.sigmas))
+    return ReservationProfile(form.sigmas, kappas, form.expected_values)
 
 
 def modified_instance(inst: Instance, reservation_set) -> Instance:
@@ -77,6 +58,6 @@ def modified_instance(inst: Instance, reservation_set) -> Instance:
     set S is Weitzman's policy on this instance."""
     s = frozenset(reservation_set)
     return Instance(
-        Box(DiscreteDist.point(box.dist.expectation()), 0) if i in s else box
+        Box(DiscreteDist.point(inst.form.expected_values[i]), 0) if i in s else box
         for i, box in enumerate(inst.boxes)
     )

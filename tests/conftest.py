@@ -113,6 +113,10 @@ drawn_boxes = st.builds(
 )
 
 
+# sigma = 2, a support value: (4 - 2) / 4 = 1/2
+SIGMA_ON_SUPPORT = Box(DiscreteDist([(0, Fraction(1, 2)), (2, Fraction(1, 4)), (4, Fraction(1, 4))]), Fraction(1, 2))
+
+
 def fraction_reservation_value(box):
     """sigma by a Fraction scan of the support pieces from the top: on the
     first piece [v_{i-1}, v_i] holding it, sigma = (E[v; v >= v_i] - c) /

@@ -24,7 +24,7 @@ from pandora_search import (
 )
 from pandora_search.committing import _kappa_cdfs
 from pandora_search.core import scaled_cdfs, value_grid
-from conftest import drawn_boxes, forbid_kappa_laws, profile_best_committing, random_batch
+from conftest import SIGMA_ON_SUPPORT, drawn_boxes, forbid_kappa_laws, profile_best_committing, random_batch
 
 
 def d(*pairs):
@@ -228,17 +228,13 @@ def check_against_profile(inst):
     value is a Fraction."""
     prof = profile(inst)
     grid = value_grid(prof.kappa_dists)
-    assert _kappa_cdfs(inst, prof.sigmas) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
+    assert _kappa_cdfs(inst.form) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
     sol, ref = best_committing(inst), profile_best_committing(inst)
     for field in fields(sol):
         assert getattr(sol, field.name) == getattr(ref, field.name), (inst, field.name)
     values = [sol.best_value, sol.baseline_policy_a, sol.baseline_policy_b, sol.upper_bound]
     values += [v for _, v in sol.candidate_values]
     assert all(type(v) is F for v in values), inst
-
-
-# sigma = 2, a support value: (4 - 2) / 4 = 1/2
-SIGMA_ON_SUPPORT = Box(d((0, F(1, 2)), (2, F(1, 4)), (4, F(1, 4))), F(1, 2))
 
 
 class TestIntegerKappaRows:

@@ -3,12 +3,14 @@ from itertools import product
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pandora_search import (Box, DiscreteDist, Instance, adaptive, cli, committing, core, evaluator,
-                            max_of_independents, policies, random_instance, simulator, tight_example)
+                            max_of_independents, policies, random_instance, reduction, reservation, simulator,
+                            tight_example)
 from pandora_search.core import InvalidDistributionError, as_num, scaled, value_grid
-from conftest import drawn_boxes, expected_excess, fraction_expectation
+from conftest import (SIGMA_ON_SUPPORT, drawn_boxes, expected_excess, fraction_expectation,
+                      fraction_reservation_value)
 
 
 def d(*pairs):
@@ -201,10 +203,17 @@ class TestIntegerForm:
 
     def test_value_grid_is_built_once_per_instance(self, monkeypatch):
         # The ratio row of tight_example(10) is not certified, so it reaches
-        # solve_dp; the table policy is then evaluated and simulated.
+        # solve_dp; the table policy is then evaluated and simulated.  The
+        # grid is built with the integer form, or by value_grid elsewhere.
         inst = tight_example(10)
         dists = [box.dist for box in inst.boxes]
         builds = []
+        build_form = core.IntegerForm.__init__
+
+        def counting_form(form, of):
+            if of == inst:
+                builds.append(of)
+            build_form(form, of)
 
         def counting(ds):
             ds = list(ds)
@@ -212,6 +221,7 @@ class TestIntegerForm:
                 builds.append(ds)
             return value_grid(ds)
 
+        monkeypatch.setattr(core.IntegerForm, "__init__", counting_form)
         for module in (core, adaptive, policies):
             if hasattr(module, "value_grid"):
                 monkeypatch.setattr(module, "value_grid", counting)
@@ -258,11 +268,86 @@ class TestIntegerForm:
         second = policies.PolicyTree(inst, policies.CommittingPolicy(inst, {0}))
         assert first.form is second.form is inst.form
 
-    def test_certified_ratio_row_builds_no_form(self):
-        # A row that best committing certifies never reaches the DP, so it
-        # never builds the instance's integer form.
+    def test_certified_ratio_row_builds_the_form_once_and_no_dp(self, monkeypatch):
+        # Best committing reads sigma and E[v] from the form; a row it
+        # certifies never reaches the DP.
         inst = random_instance(3, 4, 10, seed=7)
-        sol = committing.best_committing(inst)
+        sol = committing.best_committing(random_instance(3, 4, 10, seed=7))
         assert sol.best_value == sol.upper_bound
-        cli._ratio_row(inst)
-        assert "form" not in vars(inst)
+        builds = []
+        build_form = core.IntegerForm.__init__
+
+        def counting_form(form, of):
+            builds.append(of)
+            build_form(form, of)
+
+        def forbidden(*args):
+            raise AssertionError("solved the DP")
+
+        monkeypatch.setattr(core.IntegerForm, "__init__", counting_form)
+        monkeypatch.setattr(adaptive, "solve_dp", forbidden)
+        assert cli._ratio_row(inst) == (sol.best_value, sol.best_value, 1)
+        assert len(builds) == 1 and builds[0] is inst
+
+
+class TestFormSigmaAndMean:
+    """The form is the one owner of each box's sigma and E[v]: they equal the
+    Fraction oracles of conftest, and its grid is value_grid's."""
+
+    @staticmethod
+    def check(inst):
+        form = inst.form
+        for box, sigma, mean in zip(inst.boxes, form.sigmas, form.expected_values):
+            assert sigma == fraction_reservation_value(box) and type(sigma) is F, inst
+            assert mean == fraction_expectation(box.dist) and type(mean) is F, inst
+        assert form.grid == value_grid(box.dist for box in inst.boxes), inst
+        assert all(type(v) is F for v in form.grid), inst
+        ranks = {}
+        for box, (_, pairs) in zip(inst.boxes, form.boxes):
+            for v, (r, _) in zip(box.dist.values(), pairs):
+                # equal values of different boxes share a rank
+                assert ranks.setdefault(v, r) == r and form.grid[r] == v, inst
+        return form
+
+    @settings(deadline=None)
+    @given(st.lists(drawn_boxes, min_size=1, max_size=5).map(Instance))
+    def test_drawn_instances(self, inst):
+        self.check(inst)
+
+    def test_sigma_on_a_support_value(self):
+        inst = Instance([SIGMA_ON_SUPPORT, *tight_example(10).boxes, SIGMA_ON_SUPPORT])
+        assert self.check(inst).sigmas[0] == 2
+
+    def test_fractional_values_on_different_denominators(self):
+        inst = Instance([Box(d((F(1, 3), F(1, 2)), (F(5, 6), F(1, 2))), F(1, 7)),
+                         Box(d((F(1, 2), F(1, 3)), (F(5, 6), F(2, 3))), F(2, 5)),
+                         Box(d((0, F(3, 4)), (F(1, 3), F(1, 4))), 0)])
+        form = self.check(inst)
+        assert form.grid == [0, F(1, 3), F(1, 2), F(5, 6)]
+        assert form.scale % 6 == 0 and form.values == [v * form.scale for v in form.grid]
+
+    def test_readers_compute_neither(self, monkeypatch):
+        # A fresh instance whose best committing set is not empty, so that a
+        # box is selected closed; the scan runs once per box, in the form.
+        inst = random_instance(4, 3, 10, seed=7)
+        scans = []
+        scan = core.reservation_scan
+
+        def counting(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def forbidden(*args):
+            raise AssertionError("computed sigma or E[v] outside the form")
+
+        monkeypatch.setattr(core, "reservation_scan", counting)
+        monkeypatch.setattr(core.DiscreteDist, "expectation", forbidden)
+        monkeypatch.setattr(reservation, "reservation_value", forbidden)
+        sol = committing.best_committing(inst)
+        assert sol.best_set == {2}
+        for pol in (policies.WeitzmanPolicy(inst), policies.CommittingPolicy(inst, sol.best_set)):
+            evaluator.evaluate_exact(inst, pol)
+            sum(tr.utility for tr in evaluator.iter_traces(inst, pol))
+            reduction.phi_value_bound(inst, pol)
+        reservation.profile(inst)
+        assert len(scans) == inst.n
