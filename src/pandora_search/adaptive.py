@@ -20,9 +20,9 @@ every candidate compare is an integer compare: a state is one int id, of U
 as a bitmask (one of 2^n) and the grid rank of the best observed value (one
 of G + 1, -1 while nothing is observed).  The memo is checked where the
 inspect loop reads a successor, so a state already solved costs no call.
-The public table keeps the (frozenset, value) keys: each mask's frozenset is
-built once, and each state's value becomes a Fraction once, when its table
-entry is stored.  The solution also keeps each state's action by its id, so
+The memo and the action codes are the one record per state (DPSolution);
+the public table, keyed by (frozenset, value), is built from them on first
+read, and the root's value is the one Fraction a solve builds.
 DecisionTablePolicy decides on a policies.PolicyTree node from its (mask,
 rank) alone; it runs only on an instance equal to the solved one.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .core import Instance, Num, SizeGuardError
@@ -52,13 +53,37 @@ DPState = Tuple[FrozenSet[int], Optional[Num]]
 
 @dataclass(frozen=True)
 class DPSolution:
+    """A solved DP on the instance's integer form.  values holds each solved
+    state's value by state id (mask * (G + 1) + rank + 1), in solve order, as
+    an integer on the scale L * prod_{i in U} d_i (core.IntegerForm); codes
+    holds its action code by id, 0 for a state not solved: 1 halt, 2 select
+    open, 3 + j select j closed, 3 + n + i inspect i.  table is built from
+    them on first read."""
+
     value: Num
-    table: Dict[DPState, Tuple[AbstractAction, Num]]
-    # Each solved state's action by state id, on the solved instance's
-    # integer form: codes[id] indexes moves, and 0 marks a state not solved.
+    values: Dict[int, int] = field(repr=False)
     codes: bytearray = field(compare=False, repr=False)
-    moves: Tuple[Optional[AbstractAction], ...] = field(compare=False, repr=False)
     instance: Instance = field(compare=False, repr=False)
+
+    @cached_property
+    def table(self) -> Dict[DPState, Tuple[AbstractAction, Num]]:
+        """{(uninspected set, best observed value or None): (action, value)}
+        for every solved state, in solve order."""
+        n, form = self.instance.n, self.instance.form
+        grid, width, codes = form.grid, len(form.grid) + 1, self.codes
+        moves = (None, ("halt", None), ("select_open", None), *(("select_closed", j) for j in range(n)),
+                 *(("inspect", i) for i in range(n)))
+        # By mask: its set and its value scale, L * prod_{i in U} d_i
+        sets = [(frozenset(), form.scale)]
+        for i, (d, _) in enumerate(form.boxes):
+            sets += [(members | {i}, scale * d) for members, scale in sets]
+        table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
+        for state, top in self.values.items():
+            mask, rank = divmod(state, width)
+            uninspected, scale = sets[mask]
+            best = grid[rank - 1] if rank else None
+            table[(uninspected, best)] = (moves[codes[state]], Fraction(top, scale))
+        return table
 
 
 def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
@@ -68,31 +93,22 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
     n = inst.n
     nonobligatory = variant == NONOBLIGATORY
     form = inst.form
-    grid, ranked = form.grid, form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
-    width = len(grid) + 1  # state id: mask * width + best + 1
+    ranked = form.boxes  # ranked[i]: (d_i, (rank, p * d_i) pairs)
+    width = len(form.grid) + 1  # state id: mask * width + best + 1
     bound = (1 << n) * width
     if bound > MAX_DP_STATES:
         raise SizeGuardError(f"DP state bound 2^{n} * {width} = {bound} exceeds {MAX_DP_STATES}")
-    scale, grid_scaled, mean_scaled, cost_scaled = form.scale, form.values, form.means, form.costs
+    grid_scaled, mean_scaled, cost_scaled = form.values, form.means, form.costs
 
-    table: Dict[DPState, Tuple[AbstractAction, Num]] = {}
     memo: Dict[int, int] = {}
-    # An action's code: 1 halt, 2 select open, 3 + j select j closed,
-    # 3 + n + i inspect i.  Past MAX_DP_STATES no state is solved, so n <= 21
-    # and every code fits in a byte.
-    moves = (None, ("halt", None), ("select_open", None), *(("select_closed", j) for j in range(n)),
-             *(("inspect", i) for i in range(n)))
+    # Past MAX_DP_STATES no state is solved, so n <= 21 and every action
+    # code fits in a byte.
     codes = bytearray(bound)
-    sets: Dict[int, Tuple[FrozenSet[int], Tuple[int, ...]]] = {}  # mask -> (set, members)
 
     def value(mask: int, best: int, weight: int) -> int:
         """Value of the state not yet in memo, times scale * weight, where
         weight is the product of d_i over the uninspected boxes."""
-        entry = sets.get(mask)
-        if entry is None:
-            members = tuple(i for i in range(n) if mask >> i & 1)
-            entry = sets[mask] = (frozenset(members), members)
-        uninspected, members = entry
+        members = [i for i in range(n) if mask >> i & 1]
         top: Optional[int] = None
         code = 0
         if best >= 0:
@@ -122,37 +138,29 @@ def solve_dp(inst: Instance, variant: str = NONOBLIGATORY) -> DPSolution:
         state = mask * width + best + 1
         memo[state] = top
         codes[state] = code
-        table[(uninspected, grid[best] if best >= 0 else None)] = (moves[code], Fraction(top, scale * weight))
         return top
 
-    value((1 << n) - 1, -1, form.weight)
-    return DPSolution(value=table[(frozenset(range(n)), None)][1], table=table, codes=codes, moves=moves,
-                      instance=inst)
+    root = value((1 << n) - 1, -1, form.weight)
+    return DPSolution(value=Fraction(root, form.scale * form.weight), values=memo, codes=codes, instance=inst)
 
 
 class DecisionTablePolicy(Policy):
-    """Policy read off a solved table: the one reader of its action strings.
-    decide reads the action by the node's state id, mask * width + rank + 1.
-    It runs only on an instance equal to the solved one, where every node
-    the tree reaches is a solved state: solve_dp solves every child of each
+    """Policy read off a solved table: decide reads the action code by the
+    node's state id, mask * width + rank + 1, and indexes the actions built
+    with the policy (code 2, select open, takes the node's best box).  It
+    runs only on an instance equal to the solved one, where every node the
+    tree reaches is a solved state: solve_dp solves every child of each
     inspection it records."""
 
     def __init__(self, sol: DPSolution):
+        n = sol.instance.n
         self.instance = sol.instance
-        self._codes, self._moves, self._width = sol.codes, sol.moves, len(sol.instance.form.grid) + 1
+        self._codes, self._width = sol.codes, len(sol.instance.form.grid) + 1
+        self._actions = (None, Halt(), None, *map(SelectClosed, range(n)), *map(Inspect, range(n)))
 
     def decide(self, node: Node) -> Action:
-        return _action(self._moves[self._codes[node.mask * self._width + node.rank + 1]], node.best)
-
-
-def _action(move: AbstractAction, best: Optional[int]) -> Action:
-    """The policy action of a table action, best the best opened box."""
-    kind, box = move
-    if kind == "inspect":
-        return Inspect(box)
-    if kind == "select_closed":
-        return SelectClosed(box)
-    return SelectOpen(best) if kind == "select_open" else Halt()
+        code = self._codes[node.mask * self._width + node.rank + 1]
+        return SelectOpen(node.best) if code == 2 else self._actions[code]
 
 
 def dp_policy(sol: DPSolution) -> DecisionTablePolicy:

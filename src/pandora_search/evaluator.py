@@ -15,9 +15,10 @@ past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
 result's Fraction once from those sums, with values from the grid and each
 box's E[v] and sigma from the instance's integer form (core.IntegerForm).
 It reads each node's integers (action, best box and rank), as the built-in
-policies do, so a node's SearchState is built only for a CallbackPolicy,
-whose function gets node.state, or for an open selection of a box other than
-the best; iter_traces reads every leaf's state for its Trace.
+policies do, and its observed pairs only for an open selection of a box
+other than the best; iter_traces reads every leaf's observed pairs for its
+Trace.  The closed form, the committing search's independent oracle, reads
+each box's sigma and E[v] from the integer form too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from .core import Instance, Num, max_of_independents
+from .core import DiscreteDist, Instance, Num, max_of_independents
 from .policies import Halt, Inspect, Policy, PolicyTree, SelectOpen, Trace
-from . import reservation
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
     tree = PolicyTree(inst, pol)
     for node, weight in tree.walk():
         if not isinstance(node.action, Inspect):
-            yield Trace(node.state.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
+            yield Trace(node.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
 
 
 def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
@@ -81,7 +81,7 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
             if node.best == i:
                 key = (i, node.rank)
             else:
-                key = (i, bisect_left(grid, dict(node.state.observed)[i]))
+                key = (i, bisect_left(grid, dict(node.observed)[i]))
             opened[key] = opened.get(key, 0) + weight
         elif not isinstance(action, Halt):
             closed[action.box] += weight
@@ -116,5 +116,8 @@ def evaluate_nonexposed_closed_form(inst: Instance, reservation_set=frozenset())
     kappa~ is kappa on the modified instance: a point mass at E[v] for boxes
     in S, min(v, sigma) otherwise.  With S empty this is the Weitzman value
     E[max_i kappa_i]."""
-    modified = reservation.modified_instance(inst, reservation_set)
-    return max_of_independents(reservation.profile(modified).kappa_dists).expectation()
+    s = frozenset(reservation_set)
+    form = inst.form
+    kappas = [DiscreteDist.point(mean) if i in s else box.dist.min_with(sigma)
+              for i, (box, sigma, mean) in enumerate(zip(inst.boxes, form.sigmas, form.expected_values))]
+    return sum(v * p for v, p in max_of_independents(kappas).support)

@@ -19,9 +19,10 @@ CommittingPolicy and a closed selection's payoff read: one depth-first
 traversal builds each reached node once, splits the weight it carries at
 each inspecting node (integer probabilities or sampled outcomes) and counts
 terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its state
-as integers (Node), and every policy's decide gets the node: the built-in
-policies read its integers and run only on an instance equal to their own,
-while a CallbackPolicy's function gets node.state, built only when read.
+as integers and its own observations (Node), and every policy's decide gets
+the node: the built-in policies read its integers and run only on an
+instance equal to their own, while a CallbackPolicy's function gets
+node.state, built from the node's observations when read.
 """
 
 from __future__ import annotations
@@ -118,39 +119,26 @@ class Node:
     value (-1 while nothing is observed); best, that value's box, the
     earliest inspected on ties (None while nothing is observed); and cost,
     the inspection cost paid to reach it times the integer form's scale
-    (core.IntegerForm.scale).  action is the policy's (checked) action there;
-    the node is terminal when it is not an Inspect.
+    (core.IntegerForm.scale).  observed is its (box, value) pairs in
+    inspection order: its parent's plus the one seen on the way here.
+    action is the policy's (checked) action there; the node is terminal when
+    it is not an Inspect.  state is the same information as a SearchState,
+    built from observed and mask when read."""
 
-    state is the same information as a SearchState, built on first read
-    from the parent's state and value, the value observed on the way here."""
+    __slots__ = ("observed", "mask", "rank", "best", "cost", "action")
 
-    __slots__ = ("parent", "value", "mask", "rank", "best", "cost", "action", "_state")
-
-    def __init__(self, parent: Optional["Node"], value: Optional[Num], mask: int, rank: int,
-                 best: Optional[int], cost: int):
-        self.parent = parent
-        self.value = value
+    def __init__(self, observed: Tuple[Tuple[int, Num], ...], mask: int, rank: int, best: Optional[int],
+                 cost: int):
+        self.observed = observed
         self.mask = mask
         self.rank = rank
         self.best = best
         self.cost = cost
-        self._state: Optional[SearchState] = None
 
     @property
     def state(self) -> SearchState:
-        if self._state is None:
-            # Build the missing states from the nearest ancestor that has one
-            # (the root always does), without recursion: a path can be long.
-            missing = []
-            node = self
-            while node._state is None:
-                missing.append(node)
-                node = node.parent
-            state = node._state
-            for node in reversed(missing):
-                i = node.parent.action.box
-                state = node._state = SearchState(state.observed + ((i, node.value),), state.uninspected - {i})
-        return self._state
+        mask = self.mask
+        return SearchState(self.observed, frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
 
 
 class PolicyTree:
@@ -173,9 +161,7 @@ class PolicyTree:
         self.scale = form.weight
         self._full = (1 << inst.n) - 1  # the mask of every box
         self._decide = pol.decide
-        root = Node(None, None, self._full, -1, None, 0)
-        root._state = SearchState(observed=(), uninspected=frozenset(range(inst.n)))
-        self.root = self._settle(root)
+        self.root = self._settle(Node((), self._full, -1, None, 0))
 
     def _settle(self, node: Node) -> Node:
         """Decide node's action and check it on node's mask, with the
@@ -199,7 +185,7 @@ class PolicyTree:
             rank, best = seen, i
         else:
             rank, best = node.rank, node.best
-        return self._settle(Node(node, self._grid[seen], node.mask ^ (1 << i), rank, best,
+        return self._settle(Node(node.observed + ((i, self._grid[seen]),), node.mask ^ (1 << i), rank, best,
                                  node.cost + self._costs[i]))
 
     def traverse(self, weight: Any, split: Callable) -> Iterator[Tuple[Node, Any]]:
@@ -238,7 +224,7 @@ class PolicyTree:
         mean when selected closed) minus the inspection costs paid."""
         action = node.action
         if isinstance(action, SelectOpen):
-            value = dict(node.state.observed)[action.box]
+            value = dict(node.observed)[action.box]
         elif isinstance(action, SelectClosed):
             value = self.form.expected_values[action.box]
         else:

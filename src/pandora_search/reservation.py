@@ -15,7 +15,7 @@ The integer scan (core.reservation_scan) runs once per box in the integer
 form (core.IntegerForm), which holds sigma and E[v] for every reader, and in
 reservation_value on a lone box, as twobox's mirror box is.  profile builds
 each box's kappa law as a DiscreteDist from the form's sigma, for `pandora
-profile`, twobox, reduction and the closed-form oracle.
+profile`, twobox and reduction.
 """
 
 from __future__ import annotations

@@ -228,6 +228,26 @@ class TestDPPolicy:
         assert res.utility == sol.value
         assert res.path_count > 100
 
+    def test_one_fraction_per_solve_and_the_table_built_once(self, monkeypatch):
+        # The solve and every reader of the codes build only the root's
+        # Fraction; the table builds one per state on its first read.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(adaptive, "Fraction", counting)
+        inst = wide_instance(5, 1)
+        sol = solve_dp(inst)
+        pol = dp_policy(sol)
+        assert evaluate_exact(inst, pol).utility == sol.value
+        simulate(inst, pol, trials=1000, seed=0)
+        assert len(built) == 1
+        table = sol.table
+        assert len(table) > 100 and len(built) == 1 + len(table)
+        assert sol.table is table and len(built) == 1 + len(table)
+
     def test_required_policy_evaluation(self):
         for inst in random_batch(10, 3, 3, seed0=1100):
             sol = solve_dp(inst, variant=REQUIRED)

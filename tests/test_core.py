@@ -349,5 +349,6 @@ class TestFormSigmaAndMean:
             evaluator.evaluate_exact(inst, pol)
             sum(tr.utility for tr in evaluator.iter_traces(inst, pol))
             reduction.phi_value_bound(inst, pol)
+        evaluator.evaluate_nonexposed_closed_form(inst, {0})
         reservation.profile(inst)
         assert len(scans) == inst.n

@@ -71,6 +71,7 @@ def check_nodes(inst, pol):
         state = node.state
         best = state.best_open()
         assert node.mask == sum(1 << i for i in state.uninspected)
+        assert node.observed == state.observed
         if best is None:
             assert (node.rank, node.best) == (-1, None)
         else:
