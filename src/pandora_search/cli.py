@@ -44,6 +44,13 @@ def parse_numlit(x) -> Fraction:
         # JSON floats are tolerated but converted via their shortest repr.
         return Fraction(repr(x))
     if isinstance(x, str):
+        # Python's digit limit stops long digit strings but not "1e10000000",
+        # whose Fraction would build a 33-million-bit integer first; the length
+        # test keeps the exponent's own int() under that limit
+        limit = sys.get_int_max_str_digits()
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if limit and exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+            raise InputError(f"number literal {x!r} has an exponent above {limit} in magnitude")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:

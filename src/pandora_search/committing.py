@@ -3,12 +3,12 @@
 The optimal committing policy always lies in the (n+1)-element candidate set
 {empty reservation set, each singleton}; every candidate is scored by the
 closed form E[max_i kappa~_i] rather than path enumeration.  All n+1
-candidates share the kappa laws except one box, so one merged-grid sweep with
-prefix and suffix products of the CDFs scores them all in O(n G) integer
-operations, G being the size of the merged kappa grid.  Each box's sigma and
-E[v] are read from the instance's integer form (core.IntegerForm), and its
-kappa CDF row is built from the form's ranked support, scaled probabilities
-and sigma; no kappa law is built as a DiscreteDist.
+candidates share the kappa laws except one box, so one product row of the
+CDFs on the merged grid, divided by each box's own row, scores them all in
+O(n G) integer operations, G being the size of the merged kappa grid.  Each
+box's sigma and E[v] come from the instance's integer form (core.IntegerForm),
+and its kappa CDF row from the form's ranked support, scaled probabilities and
+sigma; no kappa law is built as a DiscreteDist.
 """
 
 from __future__ import annotations
@@ -65,16 +65,16 @@ def best_committing(inst: Instance) -> CommittingSolution:
     On the merged grid of the kappa supports, with F_j the CDF of kappa_j and
     e_i = E[v_i]: the empty set scores E[max_j kappa_j], and {i} scores
     E[max(e_i, Y_i)] = e_i + sum_t P(Y_i = t) (t - e_i)^+, where
-    Y_i = max_{j != i} kappa_j has the CDF (prod_{j<i} F_j)(prod_{j>i} F_j),
-    a running prefix product times a stored suffix product.  The sums run in
-    integers: each F_j scaled by its probability denominator (_kappa_cdfs),
-    and grid values and e_i together by core.scaled.  O(n G) products for a
-    grid of G points.
+    Y_i = max_{j != i} kappa_j has the CDF prod_j F_j / F_i: one product row
+    divided by box i's own row.  The sums run in integers: each F_j scaled by
+    its probability denominator (_kappa_cdfs), and grid values and e_i
+    together by core.scaled.  O(n G) products and quotients for a grid of G
+    points.
 
     upper_bound is the paper's coupling bound E[max(max_i e_i, max_j kappa_j)]:
     every policy's u_phi lies below it pointwise, so
     best_value <= optimum <= upper_bound, and where the two meet best_value is
-    the optimum.  It is one more E[max] on suffix[0], the CDF of max_j kappa_j.
+    the optimum.  It is one more E[max] on the product row.
     """
     evs = inst.form.expected_values
     grid, cdfs = _kappa_cdfs(inst.form)
@@ -92,18 +92,18 @@ def best_committing(inst: Instance) -> CommittingSolution:
             prev = c
         return Fraction(floor * den + excess, scale * den)
 
-    # suffix[i] = prod_{j >= i} F_j, scaled by prod_{j >= i} d_j
-    suffix = [[1] * len(grid)]
-    for _, row in reversed(cdfs):
-        suffix.append([a * b for a, b in zip(row, suffix[-1])])
-    suffix.reverse()
+    # total = prod_j F_j, scaled by prod_j d_j
+    total = [1] * len(grid)
+    for _, row in cdfs:
+        total = [a * b for a, b in zip(total, row)]
     total_den = prod(d for d, _ in cdfs)
-    values = [(frozenset(), expected_max(points[0], suffix[0], total_den))]
-    prefix = [1] * len(grid)
+    values = [(frozenset(), expected_max(points[0], total, total_den))]
     for i, (d, row) in enumerate(cdfs):
-        others = [a * b for a, b in zip(prefix, suffix[i + 1])]
+        # total // F_i is prod_{j != i} F_j wherever F_i > 0, and expected_max
+        # reads it only from the last point <= e_i up, where
+        # F_i >= P(kappa_i = min kappa_i) > 0, as min kappa_i <= E[kappa_i] <= e_i
+        others = [a // b if b else 0 for a, b in zip(total, row)]
         values.append((frozenset({i}), expected_max(evs_scaled[i], others, total_den // d)))
-        prefix = [a * b for a, b in zip(prefix, row)]
 
     best_set, best_value = values[0]
     for s, v in values[1:]:
@@ -116,5 +116,5 @@ def best_committing(inst: Instance) -> CommittingSolution:
         baseline_policy_a=values[0][1],
         baseline_policy_b=max(evs),
         # max_i e_i >= E[kappa_i] >= the grid minimum, as expected_max needs
-        upper_bound=expected_max(max(evs_scaled), suffix[0], total_den),
+        upper_bound=expected_max(max(evs_scaled), total, total_den),
     )

@@ -1,0 +1,70 @@
+"""Exactness digests: every group of library results over a fixed instance
+list, as one SHA-256 and a record count, so a refactor that must keep each
+Fraction equal proves it against tests/data/exactness.json
+(tests/test_exactness.py recomputes the digests).
+
+    PYTHONPATH=src python tests/exactness.py           # print the digests
+    PYTHONPATH=src python tests/exactness.py --write   # rewrite the file
+
+A record is "name:type:repr".  The committing group holds every
+CommittingSolution field and each box's sigma and E[v] from the instance's
+integer form.
+"""
+
+import hashlib
+import json
+import sys
+from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
+
+from conftest import random_batch
+from pandora_search import best_committing, random_instance, tight_example
+
+DATA = Path(__file__).resolve().parent / "data" / "exactness.json"
+
+
+def instances():
+    yield from random_batch(500, 4, 3, seed0=2000)
+    for k in range(400):
+        yield random_instance(2 + k % 5, 4, 10, seed=k)
+    for k in range(200):
+        yield random_instance(2 + k % 5, 4, 10, seed=k, cost_scale_max=Fraction(5, 2))
+    for big_n in (2, 3, 10, 1000):
+        yield tight_example(big_n)
+    for n in (40, 80, 200, 1000):
+        yield random_instance(n, 4, 10, seed=0)
+
+
+def record(name, v):
+    return f"{name}:{type(v).__name__}:{v!r}"
+
+
+def committing_records():
+    for inst in instances():
+        sol = best_committing(inst)
+        for field in fields(sol):
+            yield record(field.name, getattr(sol, field.name))
+        for sigma, ev in zip(inst.form.sigmas, inst.form.expected_values):
+            yield record("sigma", sigma)
+            yield record("expected_value", ev)
+
+
+def digest(records):
+    h = hashlib.sha256()
+    count = 0
+    for r in records:
+        h.update(r.encode() + b"\n")
+        count += 1
+    return {"sha256": h.hexdigest(), "records": count}
+
+
+def digests():
+    return {"committing": digest(committing_records())}
+
+
+if __name__ == "__main__":
+    out = json.dumps(digests(), indent=2) + "\n"
+    if sys.argv[1:] == ["--write"]:
+        DATA.write_text(out)
+    print(out, end="")

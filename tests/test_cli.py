@@ -55,6 +55,14 @@ class TestNumLiterals:
             with pytest.raises(InputError):
                 parse_numlit(bad)
 
+    def test_rejects_an_exponent_past_the_digit_limit(self):
+        # "1e10000000" would build a 33-million-bit integer before any check
+        limit = sys.get_int_max_str_digits()
+        for bad in (f"1e{limit + 1}", f"2.5E-{limit + 1}"):
+            with pytest.raises(InputError, match="exponent"):
+                parse_numlit(bad)
+        assert parse_numlit(f"1e{limit}") == 10 ** limit
+
 
 class TestInstanceIO:
     def test_round_trip(self, tight_file):

@@ -229,6 +229,9 @@ def check_against_profile(inst):
     prof = profile(inst)
     grid = value_grid(prof.kappa_dists)
     assert _kappa_cdfs(inst.form) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
+    # best_committing divides by box i's row from the last grid point <= E[v_i] up
+    for (_, row), ev in zip(_kappa_cdfs(inst.form)[1], inst.form.expected_values):
+        assert all(row[max(r for r, t in enumerate(grid) if t <= ev):]), (inst, ev)
     sol, ref = best_committing(inst), profile_best_committing(inst)
     for field in fields(sol):
         assert getattr(sol, field.name) == getattr(ref, field.name), (inst, field.name)
