@@ -81,13 +81,13 @@ def best_committing(inst: Instance) -> CommittingSolution:
     scale, ints = scaled([*grid, *evs])
     points, evs_scaled = ints[:len(grid)], ints[len(grid):]
 
-    def expected_max(floor: int, cdf: List[int], den: int) -> Fraction:
-        """E[max(floor, Y)] / scale for Y with CDF cdf / den on the grid;
-        floor is scaled and at least the grid minimum."""
-        k = bisect_right(points, floor)
+    def expected_max(floor: int, r: int, tail: List[int], den: int) -> Fraction:
+        """E[max(floor, Y)] / scale for Y with CDF cdf / den on the grid,
+        given r, the rank of the last grid point <= floor, and
+        tail = cdf[r:]; floor is scaled and at least the grid minimum."""
         excess = 0
-        prev = cdf[k - 1]
-        for t, c in zip(points[k:], cdf[k:]):
+        prev = tail[0]
+        for t, c in zip(points[r + 1:], tail[1:]):
             excess += (c - prev) * (t - floor)
             prev = c
         return Fraction(floor * den + excess, scale * den)
@@ -97,14 +97,19 @@ def best_committing(inst: Instance) -> CommittingSolution:
     for _, row in cdfs:
         total = [a * b for a, b in zip(total, row)]
     total_den = prod(d for d, _ in cdfs)
-    values = [(frozenset(), expected_max(points[0], total, total_den))]
+    values = [(frozenset(), expected_max(points[0], 0, total, total_den))]
     for i, (d, row) in enumerate(cdfs):
         # total // F_i is prod_{j != i} F_j wherever F_i > 0, and expected_max
         # reads it only from the last point <= e_i up, where
         # F_i >= P(kappa_i = min kappa_i) > 0, as min kappa_i <= E[kappa_i] <= e_i
-        others = [a // b if b else 0 for a, b in zip(total, row)]
-        values.append((frozenset({i}), expected_max(evs_scaled[i], others, total_den // d)))
+        r = bisect_right(points, evs_scaled[i]) - 1
+        others = [a // b for a, b in zip(total[r:], row[r:])]
+        values.append((frozenset({i}), expected_max(evs_scaled[i], r, others, total_den // d)))
 
+    # max_i e_i >= E[kappa_i] >= the grid minimum, as expected_max needs
+    top = max(evs_scaled)
+    r = bisect_right(points, top) - 1
+    upper_bound = expected_max(top, r, total[r:], total_den)
     best_set, best_value = values[0]
     for s, v in values[1:]:
         if v > best_value:
@@ -115,6 +120,5 @@ def best_committing(inst: Instance) -> CommittingSolution:
         candidate_values=tuple(values),
         baseline_policy_a=values[0][1],
         baseline_policy_b=max(evs),
-        # max_i e_i >= E[kappa_i] >= the grid minimum, as expected_max needs
-        upper_bound=expected_max(max(evs_scaled), total, total_den),
+        upper_bound=upper_bound,
     )

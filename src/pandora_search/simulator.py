@@ -12,17 +12,22 @@ Generator.random() = (r >> 11) * 2**-53 would be >= c.  The indices are those
 of Generator.random() on the same stream, without converting words to doubles.
 
 Trials are drawn CHUNK at a time and folded into distinct joint outcomes (one
-support index per box) with their counts: by np.bincount over mixed-radix
-outcome ids, held in the narrowest unsigned type that holds the joint size
-(so every id and every radix fits), in one batch, when the joint support has
-at most OUTCOME_TABLE_LIMIT outcomes, else one batch per chunk, by one
-np.lexsort of the chunk's digit columns and a split into runs of equal rows.
-The sort works on the digits themselves, so it has no limit on the joint
-support (no outcome id has to fit in 64 bits).  The policy's execution tree
-(policies.PolicyTree) splits each batch's (outcome, count) pairs at each
-inspecting node.  The report sums count * payoff and count * payoff**2 as
-integers on the scale core.IntegerForm.scale over every leaf of every batch,
-and rounds the mean and the variance once: memory holds one chunk.
+support index per box) with their counts, by one of three folds chosen by the
+joint support's size:
+- up to CUT_FOLD_LIMIT outcomes, in one batch, from the cut masks (r >= cut)
+  alone: each chunk adds the upper-orthant counts, each a count of an AND of
+  one mask per box, and their finite differences are the counts;
+- up to OUTCOME_TABLE_LIMIT, in one batch, by np.bincount over mixed-radix
+  outcome ids in the narrowest unsigned type that holds the joint size;
+- past that, one batch per chunk, by one np.lexsort of the chunk's digit
+  columns and a split into runs of equal rows, with no limit on the joint
+  support (no outcome id has to fit in 64 bits).
+CUT_FOLD_LIMIT is the largest size at which the cut masks beat bincount in
+every measured run (README has the timings).  The policy's execution tree (policies.PolicyTree) splits each
+batch's (outcome, count) pairs at each inspecting node.  The report sums
+count * payoff and count * payoff**2 as integers on the scale
+core.IntegerForm.scale over every leaf of every batch, and rounds the mean
+and the variance once: memory holds one chunk.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .core import Instance, IntegerForm, Num
 from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectClosed
 
 OUTCOME_TABLE_LIMIT = 1 << 14
+CUT_FOLD_LIMIT = 10
 CHUNK = 1 << 15
 
 
@@ -111,16 +117,16 @@ def _support_index(raw: np.ndarray, cuts: List[np.uint64]) -> np.ndarray:
     return index
 
 
-def _draw_chunks(inst: Instance, trials: int, seed: int) -> Iterator[List[np.ndarray]]:
-    """Support indices drawn for each box, CHUNK trials at a time, from one
-    Philox stream per box.  Consecutive draws continue the stream, so the
-    values do not depend on the chunking, and they are the indices that
-    Generator.random() draws on the same stream would give."""
+def _draw_chunks(inst: Instance, trials: int, seed: int, per_box: Callable) -> Iterator[list]:
+    """per_box(words, cuts) for each box (its support indices or cut masks),
+    CHUNK trials at a time, on words from one Philox stream per box.
+    Consecutive draws continue the stream, so the values do not depend on the
+    chunking, and the indices are those Generator.random() draws would give."""
     bits = [np.random.Philox(key=[seed, i]) for i in range(inst.n)]
     cuts = [_raw_cuts(b.dist) for b in inst.boxes]
     for start in range(0, trials, CHUNK):
         m = min(CHUNK, trials - start)
-        yield [_support_index(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
+        yield [per_box(bit.random_raw(m), cut) for bit, cut in zip(bits, cuts)]
 
 
 def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
@@ -129,17 +135,34 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
     joint = math.prod(sizes)
     if joint <= OUTCOME_TABLE_LIMIT:
         counts = np.zeros(joint, dtype=np.int64)
-        dtype = np.min_scalar_type(joint)
-        for digits in _draw_chunks(inst, trials, seed):
-            ids = digits[0].astype(dtype)
-            for d, s in zip(digits[1:], sizes[1:]):
-                ids *= s
-                ids += d
-            counts += np.bincount(ids, minlength=joint)
+        if joint <= CUT_FOLD_LIMIT:
+            for masks in _draw_chunks(inst, trials, seed, lambda raw, cuts: [raw >= c for c in cuts]):
+                # U(x), the trials with index_i >= x_i for every box i, per x
+                # in C order: a count of the AND of the masks for cut x_i - 1
+                # over x_i > 0 (None for none); a dropped cut is all False.
+                ands = [None]
+                for box, s in zip(masks, sizes):
+                    box = box + [False] * (s - 1 - len(box))
+                    ands = [b if a is None else a if b is None else a & b for a in ands for b in [None, *box]]
+                counts += [np.count_nonzero(a) for a in ands]  # 0 for None
+            counts[0] = trials  # U(0, ..., 0), the one x with no mask
+            # The point counts are U's finite differences along each axis.
+            upper = counts.reshape(sizes)
+            for axis in range(len(sizes)):
+                upper = -np.diff(upper, axis=axis, append=0)
+            counts = upper.ravel()
+        else:
+            dtype = np.min_scalar_type(joint)
+            for digits in _draw_chunks(inst, trials, seed, _support_index):
+                ids = digits[0].astype(dtype)
+                for d, s in zip(digits[1:], sizes[1:]):
+                    ids *= s
+                    ids += d
+                counts += np.bincount(ids, minlength=joint)
         seen = np.flatnonzero(counts)
         yield list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
     else:
-        for digits in _draw_chunks(inst, trials, seed):
+        for digits in _draw_chunks(inst, trials, seed, _support_index):
             # Rows in lexicographic order (lexsort's last key is its first),
             # then one run per distinct row.
             order = np.lexsort(digits[::-1])

@@ -12,9 +12,11 @@ from math import prod
 from hypothesis import strategies as st
 
 from pandora_search import (Box, CallbackPolicy, CommittingPolicy, DiscreteDist, Halt, Inspect, Instance,
-                            SelectClosed, SelectOpen, random_instance, reservation, solve_dp)
+                            SelectClosed, SelectOpen, WeitzmanPolicy, random_instance, reservation, solve_dp,
+                            tight_example)
 from pandora_search.committing import CommittingSolution
 from pandora_search.core import scaled, scaled_cdfs, value_grid
+from pandora_search.simulator import CHUNK
 
 
 def tree_opt(inst: Instance, uninspected=None, observed=None, allow_closed=True):
@@ -209,3 +211,42 @@ def independent_sets(prob):
     neither variable, the kappa side 2i or the mean side 2i + 1."""
     for choice in product((None, 0, 1), repeat=prob.instance.n):
         yield frozenset(2 * i + j for i, j in enumerate(choice) if j is not None)
+
+
+def large_joint(seed=0, boxes=8):
+    """Boxes with six support points on 0..20 each, 6^8 joint outcomes (past
+    OUTCOME_TABLE_LIMIT), and costs E[v] * j/28 for shuffled j < boxes, low
+    enough that policies inspect deep."""
+    rng = random.Random(seed)
+    out = []
+    for j in rng.sample(range(boxes), boxes):
+        values = sorted(rng.sample(range(21), 6))
+        weights = [rng.randint(1, 6) for _ in values]
+        dist = DiscreteDist((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+        out.append(Box(dist, dist.expectation() * Fraction(j, 28)))
+    return Instance(out)
+
+
+REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman", "tiny-tail", "dyadic"]
+REFERENCE_TRIALS = 2 * CHUNK + 17  # crosses two chunk boundaries
+REFERENCE_SEED = 5
+
+TINY = Fraction(1, 2**60)
+# 1 - 2**-60 rounds to the float 1.0, so its raw-word cut would be 2**64.
+TINY_TAIL = DiscreteDist([(0, 1 - TINY), (50, TINY)])
+# Dyadic cumulative probabilities: a uniform can equal a cut exactly.
+DYADIC = DiscreteDist([(1, Fraction(1, 2)), (2, Fraction(1, 4)), (6, Fraction(1, 4))])
+
+
+def reference_case(case):
+    if case == "tight-reserve-long-shot":
+        inst = tight_example(10)
+        return inst, CommittingPolicy(inst, {1})
+    if case == "tiny-tail":
+        inst = Instance([Box(TINY_TAIL, Fraction(1, 10)), Box(DYADIC, Fraction(1, 4))])
+        return inst, WeitzmanPolicy(inst)
+    if case == "dyadic":
+        inst = Instance([Box(DYADIC, Fraction(1, 8)), Box(DYADIC, Fraction(1, 3)), Box(TINY_TAIL, 0)])
+        return inst, WeitzmanPolicy(inst)
+    inst = random_instance(3, 3, 9, seed=70)
+    return inst, WeitzmanPolicy(inst)

@@ -8,7 +8,8 @@ Fraction equal proves it against tests/data/exactness.json
 
 A record is "name:type:repr".  The committing group holds every
 CommittingSolution field and each box's sigma and E[v] from the instance's
-integer form.
+integer form.  The simulate group holds SimReports on fixed seeds, on joints
+that reach each of the simulator's folds.
 """
 
 import hashlib
@@ -18,8 +19,8 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_batch
-from pandora_search import best_committing, random_instance, tight_example
+from conftest import REFERENCE_CASES, REFERENCE_SEED, REFERENCE_TRIALS, large_joint, random_batch, reference_case
+from pandora_search import CommittingPolicy, WeitzmanPolicy, best_committing, random_instance, simulate, tight_example
 
 DATA = Path(__file__).resolve().parent / "data" / "exactness.json"
 
@@ -50,6 +51,15 @@ def committing_records():
             yield record("expected_value", ev)
 
 
+def simulate_records():
+    for case in REFERENCE_CASES:
+        yield record(case, simulate(*reference_case(case), REFERENCE_TRIALS, REFERENCE_SEED))
+    inst = random_instance(3, 3, 9, seed=70)
+    yield record("reserve-box-2", simulate(inst, CommittingPolicy(inst, {2}), REFERENCE_TRIALS, REFERENCE_SEED))
+    inst = large_joint()
+    yield record("large-joint", simulate(inst, WeitzmanPolicy(inst), 2000, 0))
+
+
 def digest(records):
     h = hashlib.sha256()
     count = 0
@@ -60,7 +70,7 @@ def digest(records):
 
 
 def digests():
-    return {"committing": digest(committing_records())}
+    return {"committing": digest(committing_records()), "simulate": digest(simulate_records())}
 
 
 if __name__ == "__main__":

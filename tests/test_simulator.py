@@ -2,7 +2,6 @@ import collections
 import functools
 import itertools
 import math
-import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -32,7 +31,8 @@ from pandora_search import (
 import pandora_search.simulator as sim
 from pandora_search import policies
 from pandora_search.simulator import run_once
-from conftest import fraction_decide, state_decide
+from conftest import (DYADIC, REFERENCE_CASES, REFERENCE_SEED, REFERENCE_TRIALS, TINY_TAIL, fraction_decide, large_joint,
+                      reference_case, state_decide)
 
 # simulate rounds the exact sample mean and variance once (TestExactReport);
 # the per-trial reference's numpy float mean and std are the inexact side, so
@@ -121,20 +121,6 @@ class TestSimulate:
             simulate(inst, WeitzmanPolicy(inst), trials=10, seed=seed)
 
 
-def large_joint(seed=0, boxes=8):
-    """Boxes with six support points on 0..20 each, 6^8 joint outcomes (past
-    OUTCOME_TABLE_LIMIT), and costs E[v] * j/28 for shuffled j < boxes, low
-    enough that policies inspect deep."""
-    rng = random.Random(seed)
-    out = []
-    for j in rng.sample(range(boxes), boxes):
-        values = sorted(rng.sample(range(21), 6))
-        weights = [rng.randint(1, 6) for _ in values]
-        dist = DiscreteDist((v, F(w, sum(weights))) for v, w in zip(values, weights))
-        out.append(Box(dist, dist.expectation() * F(j, 28)))
-    return Instance(out)
-
-
 def recording(inst, log):
     """Weitzman's policy on inst, appending each state it decides on and the
     action to log."""
@@ -170,31 +156,6 @@ class TestOneWalk:
         monkeypatch.setattr(policies, "PATH_LIMIT", leaves - 1)
         with pytest.raises(PathLimitError):
             simulate(inst, pol, trials=2000, seed=0)
-
-
-REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman", "tiny-tail", "dyadic"]
-REFERENCE_TRIALS = 2 * sim.CHUNK + 17  # crosses two chunk boundaries
-REFERENCE_SEED = 5
-
-TINY = F(1, 2**60)
-# 1 - 2**-60 rounds to the float 1.0, so its raw-word cut would be 2**64.
-TINY_TAIL = DiscreteDist([(0, 1 - TINY), (50, TINY)])
-# Dyadic cumulative probabilities: a uniform can equal a cut exactly.
-DYADIC = DiscreteDist([(1, F(1, 2)), (2, F(1, 4)), (6, F(1, 4))])
-
-
-def reference_case(case):
-    if case == "tight-reserve-long-shot":
-        inst = tight_example(10)
-        return inst, CommittingPolicy(inst, {1})
-    if case == "tiny-tail":
-        inst = Instance([Box(TINY_TAIL, F(1, 10)), Box(DYADIC, F(1, 4))])
-        return inst, WeitzmanPolicy(inst)
-    if case == "dyadic":
-        inst = Instance([Box(DYADIC, F(1, 8)), Box(DYADIC, F(1, 3)), Box(TINY_TAIL, 0)])
-        return inst, WeitzmanPolicy(inst)
-    inst = random_instance(3, 3, 9, seed=70)
-    return inst, WeitzmanPolicy(inst)
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,11 +213,28 @@ def per_trial_loop(inst, pol, trials, seed, run):
     )
 
 
+# (OUTCOME_TABLE_LIMIT, CUT_FOLD_LIMIT) for each fold on the reference cases'
+# joints (of 4 to 18 outcomes): the defaults count those of at most
+# CUT_FOLD_LIMIT from the cut masks, and a table limit of 0 sends every joint
+# to the row-unique fold whatever the cut-mask limit.
+FOLD_LIMITS = {
+    "cut-mask": (sim.OUTCOME_TABLE_LIMIT, sim.CUT_FOLD_LIMIT),
+    "bincount": (sim.OUTCOME_TABLE_LIMIT, 0),
+    "row-unique": (0, sim.CUT_FOLD_LIMIT),
+}
+
+
+def set_fold_limits(monkeypatch, fold):
+    table_limit, cut_limit = FOLD_LIMITS[fold]
+    monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", table_limit)
+    monkeypatch.setattr(sim, "CUT_FOLD_LIMIT", cut_limit)
+
+
 class TestAgainstPerTrialReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
-    @pytest.mark.parametrize("table_limit", [sim.OUTCOME_TABLE_LIMIT, 0], ids=["bincount", "row-unique"])
-    def test_matches_per_trial_loop(self, case, table_limit, monkeypatch):
-        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", table_limit)
+    @pytest.mark.parametrize("fold", FOLD_LIMITS)
+    def test_matches_per_trial_loop(self, case, fold, monkeypatch):
+        set_fold_limits(monkeypatch, fold)
         inst, pol = reference_case(case)
         rep = simulate(inst, pol, trials=REFERENCE_TRIALS, seed=REFERENCE_SEED)
         mean, std_error, inspect_freq, select_freq = per_trial_reference(case)
@@ -307,9 +285,9 @@ class TestExactReport:
         return rep, mean
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
-    @pytest.mark.parametrize("table_limit", [sim.OUTCOME_TABLE_LIMIT, 0], ids=["bincount", "row-unique"])
-    def test_reference_cases(self, case, table_limit, monkeypatch):
-        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", table_limit)
+    @pytest.mark.parametrize("fold", FOLD_LIMITS)
+    def test_reference_cases(self, case, fold, monkeypatch):
+        set_fold_limits(monkeypatch, fold)
         self.assert_exact(*reference_case(case), REFERENCE_TRIALS, REFERENCE_SEED)
 
     @pytest.mark.parametrize("name", ["weitzman", "dp"])
@@ -359,21 +337,59 @@ def uniform(points):
 # Joints of 4, 255 (the widest uint8 ids), 256 (the first uint16 ids), 257
 # (uint16 digits), 512 and OUTCOME_TABLE_LIMIT; (1, 256) multiplies by a radix
 # of 256 after a 1-point box, which ids typed by the largest id (255) overflow.
-TABLE_SIZES = [(2, 2), (3, 5, 17), (4,) * 4, (257,), (2,) * 9, (2,) * 14, (1, 256)]
+# The cut masks count (1,), (1, 2), 2x3 (TINY_TAIL, whose one cut is dropped,
+# by DYADIC) and (2, 5), at CUT_FOLD_LIMIT, as well as 2x2.
+TABLE_SIZES = [(2, 2), (3, 5, 17), (4,) * 4, (257,), (2,) * 9, (2,) * 14, (1, 256), (1,), (1, 2), (2, 3), (2, 5)]
+
+
+def table_instance(sizes):
+    if sizes == (2, 2):
+        return tight_example(10)
+    if sizes == (2, 3):
+        return Instance([Box(TINY_TAIL, 0), Box(DYADIC, 0)])
+    return Instance([Box(uniform(s), 0) for s in sizes])
 
 
 class TestOutcomeTableFold:
     @pytest.mark.parametrize("sizes", TABLE_SIZES, ids=lambda sizes: "x".join(map(str, sizes)))
-    def test_matches_row_unique_summed_over_chunks(self, sizes):
-        inst = tight_example(10) if sizes == (2, 2) else Instance([Box(uniform(s), 0) for s in sizes])
+    def test_matches_row_unique_summed_over_chunks(self, sizes, monkeypatch):
+        inst = table_instance(sizes)
         assert tuple(inst.support_sizes()) == sizes
         assert math.prod(sizes) <= sim.OUTCOME_TABLE_LIMIT
-        (table,) = sim._outcome_counts(inst, REFERENCE_TRIALS, 0)
         totals = collections.Counter()
-        for pairs in row_unique(sim._draw_chunks(inst, REFERENCE_TRIALS, 0)):
+        for pairs in row_unique(sim._draw_chunks(inst, REFERENCE_TRIALS, 0, sim._support_index)):
+            for row, count in pairs:
+                totals[tuple(row)] += count
+        # A joint the cut masks count goes through the bincount fold too.
+        limits = [sim.CUT_FOLD_LIMIT, 0] if math.prod(sizes) <= sim.CUT_FOLD_LIMIT else [sim.CUT_FOLD_LIMIT]
+        for cut_limit in limits:
+            monkeypatch.setattr(sim, "CUT_FOLD_LIMIT", cut_limit)
+            (table,) = sim._outcome_counts(inst, REFERENCE_TRIALS, 0)
+            assert [(tuple(row), count) for row, count in table] == sorted(totals.items())
+
+    def test_small_joint_counts_without_support_indices(self, monkeypatch):
+        inst = tight_example(10)
+        pol = WeitzmanPolicy(inst)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a small joint reached a support-index fold")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", unreachable)
+            patch.setattr(sim, "_support_index", unreachable)
+            (table,) = sim._outcome_counts(inst, REFERENCE_TRIALS, 0)
+            report = simulate(inst, pol, REFERENCE_TRIALS, 0)
+        # A table limit of 0 still sends the joint to the row-unique fold,
+        # one batch per chunk.
+        monkeypatch.setattr(sim, "OUTCOME_TABLE_LIMIT", 0)
+        batches = list(sim._outcome_counts(inst, REFERENCE_TRIALS, 0))
+        assert len(batches) == math.ceil(REFERENCE_TRIALS / sim.CHUNK) == 3
+        totals = collections.Counter()
+        for pairs in batches:
             for row, count in pairs:
                 totals[tuple(row)] += count
         assert [(tuple(row), count) for row, count in table] == sorted(totals.items())
+        assert simulate(inst, pol, REFERENCE_TRIALS, 0) == report
 
 
 # 40 boxes of up to six support points: about 2**70 joint outcomes.
@@ -393,7 +409,7 @@ class TestLexsortFold:
     def test_matches_row_unique_past_an_int64_joint(self):
         assert math.prod(WIDE.support_sizes()) > 2**63
         trials = sim.CHUNK + 17
-        assert list(sim._outcome_counts(WIDE, trials, 0)) == row_unique(sim._draw_chunks(WIDE, trials, 0))
+        assert list(sim._outcome_counts(WIDE, trials, 0)) == row_unique(sim._draw_chunks(WIDE, trials, 0, sim._support_index))
 
     @pytest.mark.parametrize("trials", [2000, sim.CHUNK + 17])
     def test_simulate_past_an_int64_joint_matches_per_trial_loop(self, trials):
