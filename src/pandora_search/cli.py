@@ -58,20 +58,36 @@ def parse_numlit(x) -> Fraction:
     raise InputError(f"not a number: {x!r}")
 
 
+def _members(doc, where: str, *keys: str) -> list:
+    """doc's values at keys, or InputError naming where doc is not an object
+    or which key it lacks."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f'{where}: missing "{key}"')
+    return [doc[key] for key in keys]
+
+
 def instance_from_doc(doc) -> Instance:
+    """The Instance an instance document describes.  Its shape is checked
+    before any number is parsed, so a malformed document raises InputError
+    naming the box, the support entry and the missing key or wrong type."""
     if not isinstance(doc, dict) or not isinstance(doc.get("boxes"), list):
         raise InputError('instance file must be an object with a "boxes" array')
     boxes = []
     for bi, bdoc in enumerate(doc["boxes"]):
+        where = f"box {bi}"
+        cost, support = _members(bdoc, where, "cost", "support")
+        if not isinstance(support, list):
+            raise InputError(f'{where}: "support" must be an array, got {type(support).__name__}')
+        entries = [_members(e, f"{where}, support entry {si}", "value", "prob") for si, e in enumerate(support)]
         try:
-            cost = parse_numlit(bdoc["cost"])
-            pairs = [
-                (parse_numlit(e["value"]), parse_numlit(e["prob"]))
-                for e in bdoc["support"]
-            ]
+            cost = parse_numlit(cost)
+            pairs = [(parse_numlit(v), parse_numlit(p)) for v, p in entries]
             boxes.append(Box(DiscreteDist(pairs), cost))
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"box {bi}: {e}") from None
+        except ValueError as e:
+            raise InputError(f"{where}: {e}") from None
     try:
         return Instance(boxes)
     except ValueError as e:

@@ -7,8 +7,11 @@ candidates share the kappa laws except one box, so one product row of the
 CDFs on the merged grid, divided by each box's own row, scores them all in
 O(n G) integer operations, G being the size of the merged kappa grid.  Each
 box's sigma and E[v] come from the instance's integer form (core.IntegerForm),
-and its kappa CDF row from the form's ranked support, scaled probabilities and
-sigma; no kappa law is built as a DiscreteDist.
+and its kappa CDF row from the form's integer values, scaled probabilities and
+sigma; no kappa law is built as a DiscreteDist.  The kappa grid lives on one
+integer scale K, the lcm of the sigmas' denominators and the form's scale L:
+a value is its integer times K / L there, so the grid is found, ranked and
+compared among integers, and no Fraction is hashed or sorted.
 """
 
 from __future__ import annotations
@@ -33,29 +36,32 @@ class CommittingSolution:
     upper_bound: Num  # E[max(max_i E[v_i], max_j kappa_j)], above every policy's value
 
 
-def _kappa_cdfs(form: IntegerForm) -> Tuple[List[Num], List[Tuple[int, List[int]]]]:
-    """The merged grid of the kappa_j = min(v_j, sigma_j) values, and each
-    kappa CDF row on it as core.scaled_cdfs gives it for the kappa law, but
-    built from the form's (rank, p * d_j) pairs and sigma_j: the row is
-    d_j P(v_j <= t) below sigma_j and d_j from sigma_j up, divided by
-    gcd(d_j, row), so the denominator is the kappa law's, not the value
-    law's."""
+def _kappa_cdfs(form: IntegerForm) -> Tuple[int, List[int], List[Tuple[int, List[int]]]]:
+    """(K, points, rows): the kappa scale K, the merged grid of the
+    kappa_j = min(v_j, sigma_j) values times K, and each kappa CDF row on it
+    as core.scaled_cdfs gives it for the kappa law, but built from the form's
+    (rank, p * d_j) pairs and sigma_j: the row is d_j P(v_j <= t) below
+    sigma_j and d_j from sigma_j up, divided by gcd(d_j, row), so the
+    denominator is the kappa law's, not the value law's.  K comes from one
+    core.scaled over the sigmas and 1 / L, which also gives each sigma_j K and
+    K / L, the factor that takes a form value v L to v K."""
+    scale, (*sigmas, unit) = scaled([*form.sigmas, Fraction(1, form.scale)])
     laws = []
-    for (d, pairs), sigma in zip(form.boxes, form.sigmas):
+    for (d, pairs), sigma in zip(form.boxes, sigmas):
         # sigma is at most the top value, so the mass collapsed onto it is positive
-        law = [(form.grid[r], w) for r, w in pairs if form.grid[r] < sigma]
+        law = [(form.values[r] * unit, w) for r, w in pairs if form.values[r] * unit < sigma]
         law.append((sigma, d - sum(w for _, w in law)))
         laws.append((d, law))
-    grid = sorted({k for _, law in laws for k, _ in law})
-    rank = {k: r for r, k in enumerate(grid)}
+    points = sorted({k for _, law in laws for k, _ in law})
+    rank = {k: r for r, k in enumerate(points)}
     cdfs = []
     for d, law in laws:
         g = gcd(d, *(w for _, w in law))
-        masses = [0] * len(grid)
+        masses = [0] * len(points)
         for k, w in law:
             masses[rank[k]] = w // g
         cdfs.append((d // g, list(accumulate(masses))))
-    return grid, cdfs
+    return scale, points, cdfs
 
 
 def best_committing(inst: Instance) -> CommittingSolution:
@@ -67,19 +73,19 @@ def best_committing(inst: Instance) -> CommittingSolution:
     E[max(e_i, Y_i)] = e_i + sum_t P(Y_i = t) (t - e_i)^+, where
     Y_i = max_{j != i} kappa_j has the CDF prod_j F_j / F_i: one product row
     divided by box i's own row.  The sums run in integers: each F_j scaled by
-    its probability denominator (_kappa_cdfs), and grid values and e_i
-    together by core.scaled.  O(n G) products and quotients for a grid of G
-    points.
+    its probability denominator, and grid values on the kappa scale K
+    (_kappa_cdfs), where e_i is the form's e_i L times K / L.  O(n G)
+    products and quotients for a grid of G points; the only Fraction compares
+    are the n that pick the best candidate.
 
     upper_bound is the paper's coupling bound E[max(max_i e_i, max_j kappa_j)]:
     every policy's u_phi lies below it pointwise, so
     best_value <= optimum <= upper_bound, and where the two meet best_value is
     the optimum.  It is one more E[max] on the product row.
     """
-    evs = inst.form.expected_values
-    grid, cdfs = _kappa_cdfs(inst.form)
-    scale, ints = scaled([*grid, *evs])
-    points, evs_scaled = ints[:len(grid)], ints[len(grid):]
+    form = inst.form
+    scale, points, cdfs = _kappa_cdfs(form)
+    evs_scaled = [e * (scale // form.scale) for e in form.means]
 
     def expected_max(floor: int, r: int, tail: List[int], den: int) -> Fraction:
         """E[max(floor, Y)] / scale for Y with CDF cdf / den on the grid,
@@ -93,7 +99,7 @@ def best_committing(inst: Instance) -> CommittingSolution:
         return Fraction(floor * den + excess, scale * den)
 
     # total = prod_j F_j, scaled by prod_j d_j
-    total = [1] * len(grid)
+    total = [1] * len(points)
     for _, row in cdfs:
         total = [a * b for a, b in zip(total, row)]
     total_den = prod(d for d, _ in cdfs)
@@ -119,6 +125,6 @@ def best_committing(inst: Instance) -> CommittingSolution:
         best_value=best_value,
         candidate_values=tuple(values),
         baseline_policy_a=values[0][1],
-        baseline_policy_b=max(evs),
+        baseline_policy_b=Fraction(top, scale),
         upper_bound=upper_bound,
     )

@@ -8,8 +8,11 @@ Fraction equal proves it against tests/data/exactness.json
 
 A record is "name:type:repr".  The committing group holds every
 CommittingSolution field and each box's sigma and E[v] from the instance's
-integer form.  The simulate group holds SimReports on fixed seeds, on joints
-that reach each of the simulator's folds.
+integer form.  The dp group holds, per solve_dp solution in both variants,
+its value and its table's items; the evaluate group holds the EvalResult of
+Weitzman's policy, of best committing and of the DP policy, over ratio-size
+instances, tight_example and the 8-box large joint.  The simulate group holds
+SimReports on fixed seeds, on joints that reach each of the simulator's folds.
 """
 
 import hashlib
@@ -20,7 +23,19 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import REFERENCE_CASES, REFERENCE_SEED, REFERENCE_TRIALS, large_joint, random_batch, reference_case
-from pandora_search import CommittingPolicy, WeitzmanPolicy, best_committing, random_instance, simulate, tight_example
+from pandora_search import (
+    NONOBLIGATORY,
+    REQUIRED,
+    CommittingPolicy,
+    WeitzmanPolicy,
+    best_committing,
+    dp_policy,
+    evaluate_exact,
+    random_instance,
+    simulate,
+    solve_dp,
+    tight_example,
+)
 
 DATA = Path(__file__).resolve().parent / "data" / "exactness.json"
 
@@ -37,6 +52,14 @@ def instances():
         yield random_instance(n, 4, 10, seed=0)
 
 
+def dp_instances():
+    for k in range(200):
+        yield random_instance(2 + k % 5, 4, 10, seed=k)
+    for big_n in (2, 3, 10, 1000):
+        yield tight_example(big_n)
+    yield large_joint()
+
+
 def record(name, v):
     return f"{name}:{type(v).__name__}:{v!r}"
 
@@ -49,6 +72,20 @@ def committing_records():
         for sigma, ev in zip(inst.form.sigmas, inst.form.expected_values):
             yield record("sigma", sigma)
             yield record("expected_value", ev)
+
+
+def dp_records():
+    for inst in dp_instances():
+        for variant in (NONOBLIGATORY, REQUIRED):
+            sol = solve_dp(inst, variant)
+            yield record(variant, (sol.value, list(sol.table.items())))
+
+
+def evaluate_records():
+    for inst in dp_instances():
+        yield record("weitzman", evaluate_exact(inst, WeitzmanPolicy(inst)))
+        yield record("best-committing", evaluate_exact(inst, CommittingPolicy(inst, best_committing(inst).best_set)))
+        yield record("dp", evaluate_exact(inst, dp_policy(solve_dp(inst))))
 
 
 def simulate_records():
@@ -70,7 +107,12 @@ def digest(records):
 
 
 def digests():
-    return {"committing": digest(committing_records()), "simulate": digest(simulate_records())}
+    return {
+        "committing": digest(committing_records()),
+        "dp": digest(dp_records()),
+        "evaluate": digest(evaluate_records()),
+        "simulate": digest(simulate_records()),
+    }
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -81,6 +82,19 @@ class TestInstanceIO:
             instance_from_doc(
                 {"boxes": [{"cost": "1", "support": [{"value": "1", "prob": "1/2"}]}]}
             )
+        entry = {"value": "1", "prob": "1"}
+        # each names the box, the support entry and the missing key or wrong type
+        for boxes, message in [
+            ([5], "box 0: expected an object, got int"),
+            ([{"cost": "1", "support": [entry]}, {"cost": "1", "support": [entry, 7]}],
+             "box 1, support entry 1: expected an object, got int"),
+            ([{"support": [entry]}], 'box 0: missing "cost"'),
+            ([{"cost": "1", "support": [{"value": "1"}]}], 'box 0, support entry 0: missing "prob"'),
+            ([{"cost": "1", "support": {"value": "1"}}], 'box 0: "support" must be an array, got dict'),
+            ([{"cost": "1", "support": "ab"}], 'box 0: "support" must be an array, got str'),
+        ]:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                instance_from_doc({"boxes": boxes})
 
 
 class TestCommands:

@@ -228,9 +228,10 @@ def check_against_profile(inst):
     value is a Fraction."""
     prof = profile(inst)
     grid = value_grid(prof.kappa_dists)
-    assert _kappa_cdfs(inst.form) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
+    scale, points, rows = _kappa_cdfs(inst.form)
+    assert ([F(p, scale) for p in points], rows) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
     # best_committing divides by box i's row from the last grid point <= E[v_i] up
-    for (_, row), ev in zip(_kappa_cdfs(inst.form)[1], inst.form.expected_values):
+    for (_, row), ev in zip(rows, inst.form.expected_values):
         assert all(row[max(r for r, t in enumerate(grid) if t <= ev):]), (inst, ev)
     sol, ref = best_committing(inst), profile_best_committing(inst)
     for field in fields(sol):
@@ -276,3 +277,30 @@ class TestIntegerKappaRows:
         forbid_kappa_laws(monkeypatch)
         monkeypatch.setattr(DiscreteDist, "__init__", forbidden)
         assert best_committing(inst) == expected
+
+    def test_hashes_no_fraction_and_compares_only_the_scores(self, monkeypatch):
+        """The kappa grid is found, ranked and compared among integers: no
+        Fraction is hashed, and the only Fraction compares are the at most n
+        that pick the best of the n + 1 scores."""
+        insts = [*random_batch(500, 4, 3, seed0=2000), tight_example(10), random_instance(200, 4, 10, seed=0)]
+        for inst in insts:
+            inst.form  # built first: only best committing's own work is counted
+        counts = {"hash": 0, "compare": 0}
+
+        def count(name, kind):
+            method = getattr(F, name)
+
+            def counted(*args):
+                counts[kind] += 1
+                return method(*args)
+
+            monkeypatch.setattr(F, name, counted)
+
+        count("__hash__", "hash")
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            count(name, "compare")
+        for inst in insts:
+            before = counts["compare"]
+            best_committing(inst)
+            assert counts["compare"] - before <= inst.n, inst
+        assert counts["hash"] == 0
