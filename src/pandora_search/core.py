@@ -223,38 +223,40 @@ class IntegerForm:
     values share a rank, and a running best is a max of ranks.  boxes holds,
     per box, d_i, the lcm of its probability denominators (scaled), and its
     support as (rank, p * d_i) pairs; weight is prod_i d_i.  expected_values
-    and sigmas (reservation_scan) are the only E[v_i] and sigma_i that every
-    reader takes.  scale, L, is the lcm of the denominators of every grid
-    value, mean and cost; values, means and costs are those times L.  So the
-    value of a DP state (U, best) is an integer once multiplied by
-    L * prod_{i in U} d_i: inspecting i scores -c_i L prod_U d +
-    sum_v (p_v d_i) V(U - {i}, best'), and every candidate compare is an
-    integer compare."""
+    and sigmas (reservation_scan, on the scale that ranks the values) are the
+    only E[v_i] and sigma_i that every reader takes.  scale, L, is the lcm of
+    the denominators of every grid value, mean, cost and sigma; values,
+    means, costs and caps are those times L, caps being sigma_i L, the cap of
+    kappa_i = min(v_i, sigma_i).  So the value of a DP state (U, best) is an
+    integer once multiplied by L * prod_{i in U} d_i: inspecting i scores
+    -c_i L prod_U d + sum_v (p_v d_i) V(U - {i}, best'), and every candidate
+    compare is an integer compare; a committing policy's order and stop test,
+    its kappa rows and an evaluation's sums are integers on L too."""
 
     def __init__(self, inst: "Instance"):
         supports = [box.dist.support for box in inst.boxes]
         flat = [v for support in supports for v, _ in support]
-        unit, ints = scaled(flat)
+        costs = [box.cost for box in inst.boxes]
+        unit, ints = scaled([*flat, *costs])  # the costs last, past zip's end below
         value_of = dict(zip(ints, flat))  # keyed by ints: no Fraction is hashed
         rank = {k: r for r, k in enumerate(sorted(value_of))}
         self.grid = [value_of[k] for k in rank]
-        boxes = []
-        means = []
+        boxes, means, sigmas = [], [], []
         it = iter(ints)
-        for support in supports:
+        for support, cost in zip(supports, ints[len(flat):]):
             d, weights = scaled([p for _, p in support])
             row = [(next(it), w) for w in weights]
             boxes.append((d, tuple((rank[v], w) for v, w in row)))
             means.append(Fraction(sum(v * w for v, w in row), unit * d))
+            sigmas.append(reservation_scan(row, cost * d, unit))
         self.boxes: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(boxes)
         self.weight = prod(d for d, _ in boxes)
         self.expected_values: Tuple[Fraction, ...] = tuple(means)
-        self.scale, ints = scaled([*self.grid, *means, *(box.cost for box in inst.boxes)])
+        self.sigmas: Tuple[Fraction, ...] = tuple(sigmas)
+        self.scale, ints = scaled([*self.grid, *means, *costs, *sigmas])
         g, n = len(self.grid), len(supports)
-        self.values, self.means, self.costs = ints[:g], ints[g:g + n], ints[g + n:]
-        self.sigmas: Tuple[Fraction, ...] = tuple(
-            reservation_scan([(self.values[r], w) for r, w in pairs], cost * d, self.scale)
-            for (d, pairs), cost in zip(boxes, self.costs))
+        self.values, self.means = ints[:g], ints[g:g + n]
+        self.costs, self.caps = ints[g + n:g + 2 * n], ints[g + 2 * n:]
 
 
 @dataclass(frozen=True)

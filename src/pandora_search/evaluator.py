@@ -8,22 +8,23 @@ This shrinks the tree from s^n leaves to s^(#inspected) per path and is exact
 by independence.
 
 The walk carries integer weights, each node's probability times the tree's
-scale (the product of the boxes' probability denominators), so enumeration
+scale W (the product of the boxes' probability denominators), so enumeration
 adds and multiplies only ints, and it enforces the path guard (PathLimitError
 past policies.PATH_LIMIT).  evaluate_exact sums the weights per box, and per
-(box, grid rank of the observed value) for open selections, and builds each
-result's Fraction once from those sums, with values from the grid and each
-box's E[v] and sigma from the instance's integer form (core.IntegerForm).
-It reads each node's integers (action, best box and rank), as the built-in
-policies do, and its observed pairs only for an open selection of a box
-other than the best; iter_traces reads every leaf's observed pairs for its
-Trace.  The closed form, the committing search's independent oracle, reads
-each box's sigma and E[v] from the integer form too.
+(box, grid rank of the observed value) for open selections; the selected
+values, amortized values and paid costs are then integer sums on W L, with
+each value, E[v], sigma and cost times L from the instance's integer form
+(core.IntegerForm), and each result field, utility included, is one Fraction
+built from those sums: no Fraction arithmetic.  It reads each node's
+integers (action, best box and rank), as the built-in policies do, and its
+observed pairs only for an open selection of a box other than the best
+(PolicyTree.opened_rank); iter_traces reads every leaf's observed pairs for
+its Trace.  The closed form, the committing search's independent oracle,
+reads each box's sigma and E[v] from the integer form too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
@@ -57,13 +58,14 @@ def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
 
 def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
     """Exact expectations from integer node weights (probability times
-    tree.scale): per box, the weight of the nodes that inspect it and of the
-    paths that select it closed; per (box, grid rank of the observed value),
-    the weight of the paths that select it open.  Each field's Fraction is
-    built once from these sums, and E[I_i c_i] = c_i P(I_i)."""
+    tree.scale, W): per box, the weight of the nodes that inspect it and of
+    the paths that select it closed; per (box, grid rank of the observed
+    value), the weight of the paths that select it open.  Those weights times
+    the form's integers give E[x_i v_i], E[x_i kappa~_i] and
+    E[I_i c_i] = c_i P(I_i) times W L, and each field is one Fraction."""
     n = inst.n
     tree = PolicyTree(inst, pol)
-    grid, sigmas, means = inst.form.grid, inst.form.sigmas, inst.form.expected_values
+    form = inst.form
     inspected = [0] * n
     closed = [0] * n
     opened: Dict[Tuple[int, int], int] = {}  # (box, grid rank) -> weight
@@ -75,36 +77,28 @@ def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:
             continue
         paths += 1
         if isinstance(action, SelectOpen):
-            # The selected box is nearly always the carried best one, whose
-            # rank the node holds; another one's rank is looked up by value.
-            i = action.box
-            if node.best == i:
-                key = (i, node.rank)
-            else:
-                key = (i, bisect_left(grid, dict(node.observed)[i]))
+            key = (action.box, tree.opened_rank(node))
             opened[key] = opened.get(key, 0) + weight
         elif not isinstance(action, Halt):
             closed[action.box] += weight
 
-    scale = tree.scale
+    scale, unit = tree.scale, tree.scale * form.scale  # W and W L
     selected = list(closed)
-    value = [w * mean for w, mean in zip(closed, means)]
+    value = [w * mean for w, mean in zip(closed, form.means)]
     amortized = list(value)
     for (i, r), w in opened.items():
-        v = grid[r]
+        v = form.values[r]
         selected[i] += w
         value[i] += w * v
-        amortized[i] += w * min(v, sigmas[i])
-    inspect_probs = tuple(Fraction(w, scale) for w in inspected)
-    selected_value = tuple(Fraction(x) / scale for x in value)
-    inspection_cost = tuple(box.cost * p for box, p in zip(inst.boxes, inspect_probs))
+        amortized[i] += w * min(v, form.caps[i])
+    paid = [w * cost for w, cost in zip(inspected, form.costs)]
     return EvalResult(
-        utility=sum(selected_value) - sum(inspection_cost),
-        inspect_probs=inspect_probs,
+        utility=Fraction(sum(value) - sum(paid), unit),
+        inspect_probs=tuple(Fraction(w, scale) for w in inspected),
         select_probs=tuple(Fraction(w, scale) for w in selected),
-        selected_value=selected_value,
-        inspection_cost=inspection_cost,
-        selected_amortized=tuple(Fraction(x) / scale for x in amortized),
+        selected_value=tuple(Fraction(x, unit) for x in value),
+        inspection_cost=tuple(Fraction(x, unit) for x in paid),
+        selected_amortized=tuple(Fraction(x, unit) for x in amortized),
         path_count=paths,
     )
 

@@ -14,11 +14,11 @@ is selected (SearchState.best_open).  Weak stopping preserves non-exposure,
 which only constrains values strictly above sigma.
 
 PolicyTree is the one engine that executes policies, on the instance's
-integer form (core.IntegerForm), which also holds the sigma and E[v] that
-CommittingPolicy and a closed selection's payoff read: one depth-first
-traversal builds each reached node once, splits the weight it carries at
-each inspecting node (integer probabilities or sampled outcomes) and counts
-terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its state
+integer form (core.IntegerForm), which also holds the sigma and E[v], as
+integers on its scale, that CommittingPolicy and a closed selection's payoff
+read: one depth-first traversal builds each reached node once, splits the
+weight it carries at each inspecting node (integer probabilities or sampled
+outcomes) and counts terminal nodes against PATH_LIMIT (PathLimitError).  A node holds its state
 as integers and its own observations (Node), and every policy's decide gets
 the node: the built-in policies read its integers and run only on an
 instance equal to their own, while a CallbackPolicy's function gets
@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
 from .core import Instance, Num, SizeGuardError
@@ -89,11 +90,14 @@ class SearchState:
 
 
 def _holds(bits: int, box) -> bool:
-    """Whether box is one of the positions of the set bits of bits, as `in`
-    on the set of those positions would say for any box."""
-    if type(box) is int and box >= 0:
-        return bits >> box & 1 == 1
-    return box in {i for i in range(bits.bit_length()) if bits >> i & 1}
+    """Whether box is a nonnegative integer (operator.index: an int, a bool
+    or a numpy integer, not a float) at one of the positions of the set bits
+    of bits."""
+    try:
+        box = index(box)
+    except TypeError:
+        return False
+    return box >= 0 and bits >> box & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -219,17 +223,28 @@ class PolicyTree:
 
         return self.traverse(self.scale, split)
 
+    def opened_rank(self, node: Node) -> int:
+        """The grid rank of the value of the box that node's SelectOpen
+        selects: node.rank for the carried best box, which it nearly always
+        is; another box's rank is looked up from its observed value, by that
+        value times the form's scale."""
+        if node.best == node.action.box:
+            return node.rank
+        value = dict(node.observed)[node.action.box]
+        return bisect_left(self.form.values, value.numerator * (self.form.scale // value.denominator))
+
     def payoff(self, node: Node) -> Num:
         """Expected utility at a terminal node: the selected box's value (its
-        mean when selected closed) minus the inspection costs paid."""
+        mean when selected closed) minus the inspection costs paid, as one
+        Fraction over the form's scale."""
         action = node.action
         if isinstance(action, SelectOpen):
-            value = dict(node.observed)[action.box]
+            value = self.form.values[self.opened_rank(node)]
         elif isinstance(action, SelectClosed):
-            value = self.form.expected_values[action.box]
+            value = self.form.means[action.box]
         else:
             value = 0
-        return value - Fraction(node.cost, self.form.scale)
+        return Fraction(value - node.cost, self.form.scale)
 
 
 # --- concrete policies -----------------------------------------------------
@@ -257,8 +272,11 @@ class CommittingPolicy(Policy):
 
     decide reads the node's integers: the next box of the order is the first
     whose bit is set in mask, and the stop test best >= sigma_i is rank >=
-    the grid rank of the first value >= sigma_i.  Every action is one built
-    with the policy.
+    the grid rank of the first value >= sigma_i.  The order and those ranks
+    come from integers on the form's scale L, each box's cap sigma_i L (its
+    mean E[v_i] L for a box of S) bisected on the form's values, so building
+    the policy does no Fraction arithmetic.  Every action is one built with
+    the policy.
     """
 
     def __init__(self, inst: Instance, reservation_set):
@@ -268,9 +286,10 @@ class CommittingPolicy(Policy):
         form = inst.form
         self.sigmas = tuple(form.expected_values[i] if i in self.reservation_set else form.sigmas[i]
                             for i in range(inst.n))
-        self.order = sorted(range(inst.n), key=lambda i: (-self.sigmas[i], i))
+        caps = [form.means[i] if i in self.reservation_set else form.caps[i] for i in range(inst.n)]
+        self.order = sorted(range(inst.n), key=lambda i: (-caps[i], i))
         self.instance = inst
-        self._stop_ranks = [bisect_left(form.grid, s) for s in self.sigmas]
+        self._stop_ranks = [bisect_left(form.values, cap) for cap in caps]
         # A box of S is "inspected" by selecting it closed: simulation sees
         # E[v] = sigma there and stops at once.
         self._next = [SelectClosed(i) if i in self.reservation_set else Inspect(i) for i in range(inst.n)]

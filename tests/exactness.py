@@ -3,8 +3,10 @@ list, as one SHA-256 and a record count, so a refactor that must keep each
 Fraction equal proves it against tests/data/exactness.json
 (tests/test_exactness.py recomputes the digests).
 
-    PYTHONPATH=src python tests/exactness.py           # print the digests
-    PYTHONPATH=src python tests/exactness.py --write   # rewrite the file
+    PYTHONPATH=src python tests/exactness.py               # print the digests
+    PYTHONPATH=src python tests/exactness.py --write       # rewrite the file
+    PYTHONPATH=src python tests/exactness.py --dump FILE   # write every record
+    PYTHONPATH=src python tests/exactness.py --diff FILE   # compare with a dump
 
 A record is "name:type:repr".  The committing group holds every
 CommittingSolution field and each box's sigma and E[v] from the instance's
@@ -13,6 +15,14 @@ its value and its table's items; the evaluate group holds the EvalResult of
 Weitzman's policy, of best committing and of the DP policy, over ratio-size
 instances, tight_example and the 8-box large joint.  The simulate group holds
 SimReports on fixed seeds, on joints that reach each of the simulator's folds.
+The traces group holds every Trace of iter_traces for the same three policies
+over the dp group's instances.
+
+--dump writes every record, one a line, prefixed by its group and a space.
+--diff recomputes the records, prints each group's first record that differs
+from such a file (or is missing on one side), and exits 1 if any differs: a
+digest says that a group moved, a diff against a dump taken before the change
+says where.
 """
 
 import hashlib
@@ -20,6 +30,7 @@ import json
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 from conftest import REFERENCE_CASES, REFERENCE_SEED, REFERENCE_TRIALS, large_joint, random_batch, reference_case
@@ -31,6 +42,7 @@ from pandora_search import (
     best_committing,
     dp_policy,
     evaluate_exact,
+    iter_traces,
     random_instance,
     simulate,
     solve_dp,
@@ -81,11 +93,24 @@ def dp_records():
             yield record(variant, (sol.value, list(sol.table.items())))
 
 
+def three_policies(inst):
+    """(name, policy) for Weitzman's policy, best committing and the DP policy."""
+    yield "weitzman", WeitzmanPolicy(inst)
+    yield "best-committing", CommittingPolicy(inst, best_committing(inst).best_set)
+    yield "dp", dp_policy(solve_dp(inst))
+
+
 def evaluate_records():
     for inst in dp_instances():
-        yield record("weitzman", evaluate_exact(inst, WeitzmanPolicy(inst)))
-        yield record("best-committing", evaluate_exact(inst, CommittingPolicy(inst, best_committing(inst).best_set)))
-        yield record("dp", evaluate_exact(inst, dp_policy(solve_dp(inst))))
+        for name, pol in three_policies(inst):
+            yield record(name, evaluate_exact(inst, pol))
+
+
+def traces_records():
+    for inst in dp_instances():
+        for name, pol in three_policies(inst):
+            for trace in iter_traces(inst, pol):
+                yield record(name, trace)
 
 
 def simulate_records():
@@ -106,17 +131,57 @@ def digest(records):
     return {"sha256": h.hexdigest(), "records": count}
 
 
-def digests():
-    return {
-        "committing": digest(committing_records()),
-        "dp": digest(dp_records()),
-        "evaluate": digest(evaluate_records()),
-        "simulate": digest(simulate_records()),
-    }
+GROUPS = {
+    "committing": committing_records,
+    "dp": dp_records,
+    "evaluate": evaluate_records,
+    "simulate": simulate_records,
+    "traces": traces_records,
+}
+
+
+def digests(groups=GROUPS):
+    return {group: digest(records()) for group, records in groups.items()}
+
+
+def dump(path, groups=GROUPS):
+    with open(path, "w") as out:
+        for group, records in groups.items():
+            for r in records():
+                out.write(f"{group} {r}\n")
+
+
+def diff(path, groups=GROUPS):
+    """Prints each group's first record that differs from the dump at path;
+    returns whether any did."""
+    dumped = {}
+    with open(path) as lines:
+        for line in lines:
+            group, r = line.rstrip("\n").split(" ", 1)
+            dumped.setdefault(group, []).append(r)
+    differs = False
+    for group in sorted(groups.keys() | dumped.keys()):
+        records = groups[group]() if group in groups else ()
+        for k, (old, new) in enumerate(zip_longest(dumped.get(group, ()), records)):
+            if old != new:
+                print(f"{group}: record {k} differs\n  dump: {old}\n  now:  {new}")
+                differs = True
+                break
+    return differs
+
+
+def main(argv, groups=GROUPS):
+    if argv[:1] == ["--dump"] and len(argv) == 2:
+        dump(argv[1], groups)
+        return 0
+    if argv[:1] == ["--diff"] and len(argv) == 2:
+        return int(diff(argv[1], groups))
+    out = json.dumps(digests(groups), indent=2) + "\n"
+    if argv == ["--write"]:
+        DATA.write_text(out)
+    print(out, end="")
+    return 0
 
 
 if __name__ == "__main__":
-    out = json.dumps(digests(), indent=2) + "\n"
-    if sys.argv[1:] == ["--write"]:
-        DATA.write_text(out)
-    print(out, end="")
+    sys.exit(main(sys.argv[1:]))

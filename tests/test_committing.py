@@ -228,8 +228,8 @@ def check_against_profile(inst):
     value is a Fraction."""
     prof = profile(inst)
     grid = value_grid(prof.kappa_dists)
-    scale, points, rows = _kappa_cdfs(inst.form)
-    assert ([F(p, scale) for p in points], rows) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
+    points, rows = _kappa_cdfs(inst.form)
+    assert ([F(p, inst.form.scale) for p in points], rows) == (grid, scaled_cdfs(prof.kappa_dists, grid)), inst
     # best_committing divides by box i's row from the last grid point <= E[v_i] up
     for (_, row), ev in zip(rows, inst.form.expected_values):
         assert all(row[max(r for r, t in enumerate(grid) if t <= ev):]), (inst, ev)

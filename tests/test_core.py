@@ -238,11 +238,13 @@ class TestIntegerForm:
             form = inst.form
             means = [box.dist.expectation() for box in inst.boxes]
             costs = [box.cost for box in inst.boxes]
-            assert form.scale == lcm(*(x.denominator for x in [*form.grid, *means, *costs]))
+            sigmas = [fraction_reservation_value(box) for box in inst.boxes]
+            assert form.scale == lcm(*(x.denominator for x in [*form.grid, *means, *costs, *sigmas]))
             assert form.values == [v * form.scale for v in form.grid]
             assert form.means == [m * form.scale for m in means]
             assert form.costs == [c * form.scale for c in costs]
-            assert all(type(x) is int for x in [*form.values, *form.means, *form.costs])
+            assert form.caps == [s * form.scale for s in sigmas]
+            assert all(type(x) is int for x in [*form.values, *form.means, *form.costs, *form.caps])
             assert form.weight == prod(den for den, _ in form.boxes)
 
     @pytest.mark.parametrize("inst", [tight_example(10), random_instance(5, 4, 10, seed=3)])
@@ -254,10 +256,11 @@ class TestIntegerForm:
             calls.append(xs)
             return scaled(xs)
 
-        for module in (core, adaptive, policies):
+        for module in (core, adaptive, committing, policies):
             if hasattr(module, "scaled"):
                 monkeypatch.setattr(module, "scaled", counting)
         adaptive.solve_dp(inst)
+        committing.best_committing(inst)
         tree = policies.PolicyTree(inst, policies.WeitzmanPolicy(inst))
         sum(tree.payoff(node) for node, _ in tree.walk() if not isinstance(node.action, policies.Inspect))
         assert calls == []

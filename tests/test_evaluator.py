@@ -395,3 +395,38 @@ class TestIntegerStopTest:
                     nxt = next((i for i in pol.order if i in state.uninspected), None)
                     ties += nxt is not None and state.observed != () and state.best_open()[1] == pol.sigmas[nxt]
         assert ties > 5
+
+
+class TestNoFractionOnTheTree:
+    def test_policies_evaluation_and_traces_do_no_fraction_operation(self, monkeypatch):
+        """sigma and E[v] are integers on the form's scale L, so building the
+        committing policies, evaluate_exact and iter_traces do no Fraction
+        arithmetic, compare or hash: each result Fraction is built once from
+        integers."""
+        insts = [*random_batch(500, 4, 3, seed0=2000), random_instance(8, 6, 20, seed=1)]
+        dp_policies = []
+        for inst in insts:
+            inst.form  # built first, with the DP policies: only the policies' and walks' own work is counted
+            dp_policies.append(dp_policy(solve_dp(inst)))
+        counts = {}
+
+        def count(name):
+            method = getattr(F, name)
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return method(*args)
+
+            monkeypatch.setattr(F, name, counted)
+
+        for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__neg__", "__abs__",
+                     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__"):
+            count(name)
+        for inst, dp in zip(insts, dp_policies):
+            pols = [WeitzmanPolicy(inst), *(CommittingPolicy(inst, {i}) for i in range(inst.n)), dp]
+            assert counts == {}, inst
+            for pol in pols:
+                evaluate_exact(inst, pol)
+                list(iter_traces(inst, pol))
+            assert counts == {}, inst

@@ -198,3 +198,18 @@ class TestMonitorOnTheMask:
                 assert got == want, (depth, candidate)
                 raised += got is not None
         assert raised > 20
+
+    @pytest.mark.parametrize("action", [Inspect(1.0), SelectClosed(1.0), SelectOpen(1.0)])
+    def test_a_box_that_is_not_an_int_is_illegal(self, action):
+        # 1.0 == 1, so `in` on a set of boxes would take it for box 1; the
+        # monitor reads a box as an int, and a float is none.
+        inst = tight_example(10)
+
+        def decide(state):
+            # SelectOpen(1.0) comes after box 1 is opened
+            return Inspect(1) if isinstance(action, SelectOpen) and not state.observed else action
+
+        for run in (evaluate_exact, lambda i, p: simulate(i, p, trials=10, seed=0),
+                    lambda i, p: list(iter_traces(i, p))):
+            with pytest.raises(IllegalActionError):
+                run(inst, CallbackPolicy(decide))
