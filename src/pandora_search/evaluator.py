@@ -19,8 +19,9 @@ built from those sums: no Fraction arithmetic.  It reads each node's
 integers (action, best box and rank), as the built-in policies do, and its
 observed pairs only for an open selection of a box other than the best
 (PolicyTree.opened_rank); iter_traces reads every leaf's observed pairs for
-its Trace.  The closed form, the committing search's independent oracle,
-reads each box's sigma and E[v] from the integer form too.
+its Trace, whose utility is the leaf's integer PolicyTree.payoff over L.
+The closed form, the committing search's independent oracle, reads each
+box's sigma and E[v] from the integer form too.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def iter_traces(inst: Instance, pol: Policy) -> Iterator[Trace]:
     tree = PolicyTree(inst, pol)
     for node, weight in tree.walk():
         if not isinstance(node.action, Inspect):
-            yield Trace(node.observed, node.action, Fraction(weight, tree.scale), tree.payoff(node))
+            yield Trace(node.observed, node.action, Fraction(weight, tree.scale),
+                        Fraction(tree.payoff(node), tree.form.scale))
 
 
 def evaluate_exact(inst: Instance, pol: Policy) -> EvalResult:

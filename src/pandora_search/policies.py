@@ -22,14 +22,16 @@ outcomes) and counts terminal nodes against PATH_LIMIT (PathLimitError).  A node
 as integers and its own observations (Node), and every policy's decide gets
 the node: the built-in policies read its integers and run only on an
 instance equal to their own, while a CallbackPolicy's function gets
-node.state, built from the node's observations when read.
+node.state, built from the node's observations when read.  The legality
+monitor keeps each action's box as a Python int, so every mask, state and
+payoff is one too; PolicyTree.payoff, an int on the form's scale, is the one
+valuation of a terminal node, for exact evaluation and for simulated trials.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple, Union
 
@@ -87,17 +89,6 @@ class SearchState:
             if best is None or v > best[1]:
                 best = (i, v)
         return best
-
-
-def _holds(bits: int, box) -> bool:
-    """Whether box is a nonnegative integer (operator.index: an int, a bool
-    or a numpy integer, not a float) at one of the positions of the set bits
-    of bits."""
-    try:
-        box = index(box)
-    except TypeError:
-        return False
-    return box >= 0 and bits >> box & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -169,17 +160,29 @@ class PolicyTree:
 
     def _settle(self, node: Node) -> Node:
         """Decide node's action and check it on node's mask, with the
-        messages of a check on its state."""
+        messages of a check on its state.  The box is read once, through
+        operator.index (an int, a bool or a numpy integer, not a float), and
+        must be a set bit of the mask (uninspected) or of its complement
+        (opened); the action keeps that Python int, rebuilt when the policy
+        gave another integer type, so no foreign integer reaches the masks,
+        the states or the payoffs."""
         action = self._decide(node)
         if isinstance(action, (Inspect, SelectClosed)):
-            if not _holds(node.mask, action.box):
-                raise IllegalActionError(f"{action} targets an inspected/unknown box")
+            bits, illegal = node.mask, "targets an inspected/unknown box"
         elif isinstance(action, SelectOpen):
-            if not _holds(self._full ^ node.mask, action.box):
-                raise IllegalActionError(f"{action} targets a box that was never opened")
-        elif not isinstance(action, Halt):
+            bits, illegal = self._full ^ node.mask, "targets a box that was never opened"
+        elif isinstance(action, Halt):
+            node.action = action
+            return node
+        else:
             raise IllegalActionError(f"not an action: {action!r}")
-        node.action = action
+        try:
+            box = index(action.box)
+        except TypeError:
+            box = -1
+        if box < 0 or not bits >> box & 1:
+            raise IllegalActionError(f"{action} {illegal}")
+        node.action = action if type(action.box) is int else type(action)(box)
         return node
 
     def _expand(self, node: Node, k: int) -> Node:
@@ -233,18 +236,19 @@ class PolicyTree:
         value = dict(node.observed)[node.action.box]
         return bisect_left(self.form.values, value.numerator * (self.form.scale // value.denominator))
 
-    def payoff(self, node: Node) -> Num:
-        """Expected utility at a terminal node: the selected box's value (its
-        mean when selected closed) minus the inspection costs paid, as one
-        Fraction over the form's scale."""
+    def payoff(self, node: Node, outcome=None) -> int:
+        """Utility at a terminal node times the form's scale L: the opened
+        box's value, a closed box's mean (or, on a trial's outcome, one
+        support index per box, its drawn value) or 0 on Halt, minus the
+        inspection costs paid."""
         action = node.action
         if isinstance(action, SelectOpen):
-            value = self.form.values[self.opened_rank(node)]
-        elif isinstance(action, SelectClosed):
-            value = self.form.means[action.box]
-        else:
-            value = 0
-        return Fraction(value - node.cost, self.form.scale)
+            return self.form.values[self.opened_rank(node)] - node.cost
+        if isinstance(action, Halt):
+            return -node.cost
+        if outcome is None:
+            return self.form.means[action.box] - node.cost
+        return self.form.values[self._boxes[action.box][1][outcome[action.box]][0]] - node.cost
 
 
 # --- concrete policies -----------------------------------------------------

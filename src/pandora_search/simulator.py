@@ -22,12 +22,16 @@ joint support's size:
 - past that, one batch per chunk, by one np.lexsort of the chunk's digit
   columns and a split into runs of equal rows, with no limit on the joint
   support (no outcome id has to fit in 64 bits).
-CUT_FOLD_LIMIT is the largest size at which the cut masks beat bincount in
-every measured run (README has the timings).  The policy's execution tree (policies.PolicyTree) splits each
+The two table folds keep one axis per box with two or more support points (a
+point mass's index is always 0), so a joint that fits the table is counted
+however many boxes the instance has.  CUT_FOLD_LIMIT is the largest size at
+which the cut masks beat bincount in every measured run (README has the
+timings).  The policy's execution tree (policies.PolicyTree) splits each
 batch's (outcome, count) pairs at each inspecting node.  The report sums
-count * payoff and count * payoff**2 as integers on the scale
-core.IntegerForm.scale over every leaf of every batch, and rounds the mean
-and the variance once: memory holds one chunk.
+count * payoff and count * payoff**2, with each payoff the tree's integer
+PolicyTree.payoff on the outcome (on the scale core.IntegerForm.scale), over
+every leaf of every batch, and rounds the mean and the variance once: memory
+holds one chunk.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import Instance, IntegerForm, Num
-from .policies import Halt, Inspect, Node, Policy, PolicyTree, SelectClosed
+from .core import Instance, Num
+from .policies import Halt, Inspect, Policy, PolicyTree, SelectClosed
 
 OUTCOME_TABLE_LIMIT = 1 << 14
 CUT_FOLD_LIMIT = 10
@@ -65,10 +69,11 @@ def run_once(inst: Instance, pol: Policy, values) -> Tuple[Num, Tuple[int, ...],
     selected closed contributes its realized (unobserved) draw.
     """
     outcome = [b.dist.values().index(v) for b, v in zip(inst.boxes, values)]
-    *_, (node, _) = PolicyTree(inst, pol).traverse([(outcome, 1)], _split)
+    tree = PolicyTree(inst, pol)
+    *_, (node, _) = tree.traverse([(outcome, 1)], _split)
     inspected = tuple(0 if node.mask >> i & 1 else 1 for i in range(inst.n))
     chosen = None if isinstance(node.action, Halt) else node.action.box
-    return Fraction(_payoff(inst.form, node, outcome), inst.form.scale), inspected, chosen
+    return Fraction(tree.payoff(node, outcome), tree.form.scale), inspected, chosen
 
 
 def _split(i, pairs):
@@ -77,16 +82,6 @@ def _split(i, pairs):
     for pair in pairs:
         groups.setdefault(pair[0][i], []).append(pair)
     return groups.items()
-
-
-def _payoff(form: IntegerForm, node: Node, outcome) -> int:
-    """Utility times form.scale at a terminal node on a trial drawing support
-    index outcome[i] from each box i: the selected box's value there, opened
-    or not, minus the inspection costs paid."""
-    if isinstance(node.action, Halt):
-        return -node.cost
-    i = node.action.box
-    return form.values[form.boxes[i][1][outcome[i]][0]] - node.cost
 
 
 def _raw_cuts(dist) -> List[np.uint64]:
@@ -134,6 +129,11 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
     sizes = inst.support_sizes()
     joint = math.prod(sizes)
     if joint <= OUTCOME_TABLE_LIMIT:
+        # One axis per box with two or more support points (at most 14; a
+        # point mass's index is always 0), or box 0's one-point axis when no
+        # box has two.
+        varying = [i for i, s in enumerate(sizes) if s > 1] or [0]
+        axes = [sizes[i] for i in varying]
         counts = np.zeros(joint, dtype=np.int64)
         if joint <= CUT_FOLD_LIMIT:
             for masks in _draw_chunks(inst, trials, seed, lambda raw, cuts: [raw >= c for c in cuts]):
@@ -147,20 +147,22 @@ def _outcome_counts(inst: Instance, trials: int, seed: int) -> Iterator[list]:
                 counts += [np.count_nonzero(a) for a in ands]  # 0 for None
             counts[0] = trials  # U(0, ..., 0), the one x with no mask
             # The point counts are U's finite differences along each axis.
-            upper = counts.reshape(sizes)
-            for axis in range(len(sizes)):
+            upper = counts.reshape(axes)
+            for axis in range(len(axes)):
                 upper = -np.diff(upper, axis=axis, append=0)
             counts = upper.ravel()
         else:
             dtype = np.min_scalar_type(joint)
             for digits in _draw_chunks(inst, trials, seed, _support_index):
-                ids = digits[0].astype(dtype)
-                for d, s in zip(digits[1:], sizes[1:]):
-                    ids *= s
-                    ids += d
+                ids = digits[varying[0]].astype(dtype)
+                for i in varying[1:]:
+                    ids *= sizes[i]
+                    ids += digits[i]
                 counts += np.bincount(ids, minlength=joint)
         seen = np.flatnonzero(counts)
-        yield list(zip(np.stack(np.unravel_index(seen, sizes), axis=1).tolist(), counts[seen].tolist()))
+        rows = np.zeros((len(seen), len(sizes)), dtype=np.intp)
+        rows[:, varying] = np.stack(np.unravel_index(seen, axes), axis=1)
+        yield list(zip(rows.tolist(), counts[seen].tolist()))
     else:
         for digits in _draw_chunks(inst, trials, seed, _support_index):
             # Rows in lexicographic order (lexsort's last key is its first),
@@ -183,7 +185,6 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     tree = PolicyTree(inst, pol)
-    form = inst.form
     inspect_count = [0] * inst.n
     select_count = [0] * inst.n
     s1 = s2 = 0  # sums of payoff and payoff**2 over trials, times scale and scale**2
@@ -201,12 +202,12 @@ def simulate(inst: Instance, pol: Policy, trials: int, seed: int) -> SimReport:
             if not isinstance(node.action, SelectClosed):
                 reached = [(reached[0][0], count)]
             for outcome, c in reached:
-                u = _payoff(form, node, outcome)
+                u = tree.payoff(node, outcome)
                 s1 += c * u
                 s2 += c * u * u
-    mean = float(Fraction(s1, trials * form.scale))
+    mean = float(Fraction(s1, trials * tree.form.scale))
     # The unbiased variance; its numerator is 0 for one trial.
-    var = Fraction(trials * s2 - s1 * s1, trials * max(trials - 1, 1) * form.scale**2)
+    var = Fraction(trials * s2 - s1 * s1, trials * max(trials - 1, 1) * tree.form.scale**2)
     return SimReport(
         trials=trials,
         seed=seed,

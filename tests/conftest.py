@@ -227,6 +227,17 @@ def large_joint(seed=0, boxes=8):
     return Instance(out)
 
 
+def point_masses_and(n, sizes):
+    """n boxes: the point masses of random_instance(n - len(sizes), 1, 10),
+    then one box per s in sizes, uniform on {0, 30, ..., 30 (s - 1)} at cost
+    1/2, whose sigma and mean top every point mass's value.  The joint
+    support has prod(sizes) outcomes, however many boxes there are."""
+    points = random_instance(n - len(sizes), 1, 10, seed=0).boxes
+    assert all(len(box.dist.support) == 1 for box in points)
+    varying = [Box(DiscreteDist((30 * v, Fraction(1, s)) for v in range(s)), Fraction(1, 2)) for s in sizes]
+    return Instance([*points, *varying])
+
+
 REFERENCE_CASES = ["tight-reserve-long-shot", "random-weitzman", "tiny-tail", "dyadic"]
 REFERENCE_TRIALS = 2 * CHUNK + 17  # crosses two chunk boundaries
 REFERENCE_SEED = 5

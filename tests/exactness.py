@@ -16,7 +16,10 @@ Weitzman's policy, of best committing and of the DP policy, over ratio-size
 instances, tight_example and the 8-box large joint.  The simulate group holds
 SimReports on fixed seeds, on joints that reach each of the simulator's folds.
 The traces group holds every Trace of iter_traces for the same three policies
-over the dp group's instances.
+over the dp group's instances.  The cli group holds cli.main's exit code and
+stdout for ratio, profile, solve (five policies) and simulate on instance
+files written from tight_example and ratio-size random instances, and for two
+sweeps.
 
 --dump writes every record, one a line, prefixed by its group and a space.
 --diff recomputes the records, prints each group's first record that differs
@@ -25,9 +28,12 @@ digest says that a group moved, a diff against a dump taken before the change
 says where.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from itertools import zip_longest
@@ -48,6 +54,7 @@ from pandora_search import (
     solve_dp,
     tight_example,
 )
+from pandora_search.cli import main as cli_main, write_instance
 
 DATA = Path(__file__).resolve().parent / "data" / "exactness.json"
 
@@ -122,6 +129,35 @@ def simulate_records():
     yield record("large-joint", simulate(inst, WeitzmanPolicy(inst), 2000, 0))
 
 
+CLI_COMMANDS = [
+    ["ratio"], ["ratio", "--json"], ["profile", "--json"],
+    *(["solve", "--json", "--policy", spec]
+      for spec in ("weitzman", "commit:0", "best-committing", "dp", "dp-required")),
+    ["simulate", "--json", "--policy", "dp", "--trials", "2000"],
+]
+
+
+def cli_run(argv):
+    """cli.main's exit code and stdout on argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
+def cli_records():
+    files = [(f"tight-{big_n}", tight_example(big_n)) for big_n in (2, 3, 10, 1000)]
+    files += [(f"random-{k}", random_instance(2 + k % 5, 4, 10, seed=k)) for k in range(30)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, inst in files:
+            path = f"{tmp}/{name}.json"
+            write_instance(inst, path)
+            for command in CLI_COMMANDS:
+                yield record(" ".join([name, *command]), cli_run([command[0], path, *command[1:]]))
+    for argv in (["sweep", "--family", "tight"], ["sweep", "--random-batch", "20", "3", "3", "10", "0"]):
+        yield record(" ".join(argv), cli_run(argv))
+
+
 def digest(records):
     h = hashlib.sha256()
     count = 0
@@ -132,6 +168,7 @@ def digest(records):
 
 
 GROUPS = {
+    "cli": cli_records,
     "committing": committing_records,
     "dp": dp_records,
     "evaluate": evaluate_records,

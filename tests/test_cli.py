@@ -184,6 +184,13 @@ class TestCommands:
         assert abs(doc["mean_utility"] - 1.0) < 0.1
         assert doc["trials"] == 20000
 
+    def test_simulate_past_64_boxes(self, tmp_path, capsys):
+        # 70 point masses: a joint of one outcome, counted on one table axis.
+        out = tmp_path / "p70.json"
+        assert main(["gen", "--random", "70", "1", "10", "1", "0", "-o", str(out)]) == 0
+        assert main(["simulate", str(out), "--policy", "weitzman", "--trials", "1000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mean_utility"] == 10.0
+
     def test_sweep_tight_csv(self, capsys):
         assert main(["sweep", "--family", "tight", "--N-list", "2,10"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

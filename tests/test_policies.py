@@ -6,10 +6,12 @@ function on node.state.  These tests check, at every node, that the integers
 say what node.state says and that the action is the one the policy's
 state-level reference (conftest.state_decide) gives on the state; that
 decide still runs once per node; that a built-in policy runs only on an
-instance equal to its own; and that the legality monitor on the mask raises
-where a check on the state would.
+instance equal to its own; that the legality monitor on the mask raises
+where a check on the state would; and that it hands the tree each box as a
+Python int, whatever integer type the policy gave.
 """
 
+import numpy as np
 import pytest
 
 from pandora_search import (
@@ -33,7 +35,7 @@ from pandora_search import (
 )
 from pandora_search.adaptive import DecisionTablePolicy
 from pandora_search.policies import Node, PolicyTree
-from conftest import fraction_decide, random_batch, state_decide, wide_instance
+from conftest import fraction_decide, point_masses_and, random_batch, state_decide, wide_instance
 
 
 def worst_opened(inst):
@@ -213,3 +215,42 @@ class TestMonitorOnTheMask:
                     lambda i, p: list(iter_traces(i, p))):
             with pytest.raises(IllegalActionError):
                 run(inst, CallbackPolicy(decide))
+
+
+def three_kinds(inst, box):
+    """A callback that inspects boxes from the highest index down, selects
+    open the last one seen when its value is above its mean, and otherwise,
+    once two are seen, selects box 0 closed; box(i) makes each action's
+    box."""
+    means = inst.form.expected_values
+
+    def decide(state):
+        if state.observed:
+            i, v = state.observed[-1]
+            if v > means[i]:
+                return SelectOpen(box(i))
+        if len(state.observed) < 2:
+            return Inspect(box(max(state.uninspected)))
+        return SelectClosed(box(min(state.uninspected)))
+    return CallbackPolicy(decide)
+
+
+class TestNumpyIntegerBoxes:
+    """A callback may give its boxes as numpy integers; the tree keeps each
+    as a Python int, so it runs like the same callback with int boxes."""
+
+    @pytest.mark.parametrize("inst", [random_instance(3, 3, 10, seed=4), point_masses_and(70, (2,))],
+                             ids=["3-boxes", "70-boxes"])
+    def test_run_as_int_boxes(self, inst):
+        numpy_boxes, int_boxes = three_kinds(inst, np.int64), three_kinds(inst, int)
+        kinds = set()
+        for node, _ in PolicyTree(inst, numpy_boxes).walk():
+            assert type(node.mask) is int
+            assert type(node.action.box) is int
+            kinds.add(type(node.action))
+        assert kinds == {Inspect, SelectOpen, SelectClosed}
+        assert evaluate_exact(inst, numpy_boxes) == evaluate_exact(inst, int_boxes)
+        traces = list(iter_traces(inst, numpy_boxes))
+        assert traces == list(iter_traces(inst, int_boxes))
+        assert all(type(trace.final.box) is int for trace in traces)
+        assert simulate(inst, numpy_boxes, 2000, 0) == simulate(inst, int_boxes, 2000, 0)

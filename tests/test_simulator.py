@@ -32,7 +32,7 @@ import pandora_search.simulator as sim
 from pandora_search import policies
 from pandora_search.simulator import run_once
 from conftest import (DYADIC, REFERENCE_CASES, REFERENCE_SEED, REFERENCE_TRIALS, TINY_TAIL, fraction_decide, large_joint,
-                      reference_case, state_decide)
+                      point_masses_and, reference_case, state_decide)
 
 # simulate rounds the exact sample mean and variance once (TestExactReport);
 # the per-trial reference's numpy float mean and std are the inexact side, so
@@ -421,6 +421,35 @@ class TestLexsortFold:
         assert rep.select_freq == select_freq
         assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
         assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
+
+
+# (boxes, support sizes of the boxes that are not point masses, fold): past
+# 64 boxes, joints of 4, 2 and 1 outcomes (the last of point masses alone)
+# through both table folds, and of 16 and 8 through np.bincount.
+PAST_64_BOXES = [(65, (2, 2), "cut-mask"), (65, (2, 2), "bincount"), (65, (4, 4), "bincount"),
+                 (70, (2,), "cut-mask"), (70, (2,), "bincount"), (70, (4, 2), "bincount"),
+                 (70, (), "cut-mask"), (70, (), "bincount")]
+
+
+class TestTableFoldsPastSixtyFourBoxes:
+    """The table folds keep one axis per box that varies, so a joint that
+    fits the table is counted however many point masses come with it."""
+
+    @pytest.mark.parametrize("n, sizes, fold", PAST_64_BOXES,
+                             ids=lambda x: ("x".join(map(str, x)) or "points") if isinstance(x, tuple) else str(x))
+    def test_matches_per_trial_loop(self, n, sizes, fold, monkeypatch):
+        set_fold_limits(monkeypatch, fold)
+        inst = point_masses_and(n, sizes)
+        joint = math.prod(inst.support_sizes())
+        assert inst.n == n and joint == math.prod(sizes)
+        assert (joint <= sim.CUT_FOLD_LIMIT) == (fold == "cut-mask")
+        for pol in (WeitzmanPolicy(inst), CommittingPolicy(inst, {n - 1})):
+            rep = simulate(inst, pol, trials=2000, seed=0)
+            mean, std_error, inspect_freq, select_freq = per_trial_loop(inst, pol, 2000, 0, run_by_decide)
+            assert rep.inspect_freq == inspect_freq
+            assert rep.select_freq == select_freq
+            assert math.isclose(rep.mean_utility, mean, rel_tol=REL_TOL)
+            assert math.isclose(rep.std_error, std_error, rel_tol=REL_TOL)
 
 
 @pytest.mark.parametrize("dist", [TINY_TAIL, DYADIC, DiscreteDist([(0, F(1, 3)), (1, F(1, 7)), (2, F(11, 21))]),
